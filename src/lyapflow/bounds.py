@@ -13,7 +13,9 @@ flavors only differ in the constant c:
     perturbed       c = (k_min - M) * gamma      (needs k_min > M)
 
 gamma is the excitation level: some input entry of every sample exceeds it.
-With the embedded bias unit, gamma = 1 always works.
+With the embedded bias unit, gamma = 1 works for the layered law, which
+moves the bias weights.  The single-neuron law freezes its bias weight, so
+its certificate refuses a bias_unit gamma.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def estimate_gamma(inputs, source: str = "data_min") -> GammaEstimate:
     'data_min': gamma = min over samples of max_i |x_i| -- the largest level
     that every sample is guaranteed to excite.  Fails on an all-zero sample.
     'bias_unit': gamma = 1, valid whenever the network carries the embedded
-    constant-1 bias entry, regardless of the data.
+    constant-1 bias entry and the law moves its weight, regardless of the
+    data.  The single-neuron law does not, so ``settling_bound`` refuses
+    this source for the single_neuron flavor.
     """
     x = np.asarray(getattr(inputs, "inputs", inputs), dtype=float)
     if x.ndim == 1:
@@ -122,6 +126,11 @@ def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     if not (E0 > 0 and math.isfinite(E0)):
         raise ValueError(f"E0 must be finite and > 0, got {E0}")
+    if flavor == "single_neuron" and gamma.source == "bias_unit":
+        raise GuaranteeError(
+            "no certificate: the single-neuron law freezes the bias weight, so the "
+            "bias unit gives no excitation; use gamma_source = data_min or set gamma"
+        )
     alpha = loss.alpha
     beta = alpha / (alpha + 1.0) if flavor == "single_neuron" else loss.beta
     if not 0.0 < beta < 1.0:

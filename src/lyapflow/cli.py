@@ -153,7 +153,9 @@ def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:
     dt = cfg.dt
     if dt is None:
         dt = bound.T / 1e5 if bound is not None else 1e-3
-    return Integrator(method=cfg.method, dt=dt, t_max=cfg.t_max,
+    # epoch mode always takes per-sample Euler steps; name what runs
+    method = "euler" if cfg.mode == "epoch" else cfg.method
+    return Integrator(method=method, dt=dt, t_max=cfg.t_max,
                       record_stride=cfg.record_stride,
                       step_budget=cfg.step_budget)
 

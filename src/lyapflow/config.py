@@ -252,6 +252,10 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
             probs.append(f"{source}: data.source=csv needs data.path")
         if cfg.feature_cols is None or cfg.target_cols is None:
             probs.append(f"{source}: data.source=csv needs data.features and data.targets")
+    if cfg.loss_kind == "lyapunov" and cfg.law == "baseline":
+        probs.append(f"{source}: loss.law = baseline needs loss.kind = l1 or l2")
+    elif cfg.loss_kind != "lyapunov" and cfg.law in ("single_neuron", "mlp"):
+        probs.append(f"{source}: loss.law = {cfg.law} needs loss.kind = lyapunov")
     if cfg.perturb_mode is not None and cfg.perturb_m is None:
         probs.append(f"{source}: perturb.mode needs perturb.M")
     if cfg.dt is not None and cfg.dt <= 0:

@@ -12,6 +12,7 @@ Three laws live here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ class GainSchedule:
 
 def signal_norm(signal: ControlSignal) -> float:
     """Flat 2-norm over every rate entry."""
-    return float(np.sqrt(sum(float(np.sum(u * u)) for u in signal)))
+    return math.sqrt(sum(float(np.add.reduce(u * u, axis=None)) for u in signal))
 
 
 def lyapunov_rate_scale(alpha: float) -> float:
@@ -102,13 +103,15 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     scale that restates it in terms of E**beta.
     """
     x = np.asarray(x, dtype=float)
-    zc = float(np.clip(z, -PREACT_CLAMP, PREACT_CLAMP))
+    # max first, so a NaN pre-activation passes through as it would np.clip
+    zc = min(max(float(z), -PREACT_CLAMP), PREACT_CLAMP)
     mag = np.exp(zc) + 2.0 + np.exp(-zc)
     k = gains.layer(0)
     if isinstance(k, np.ndarray):
         k = k[0, :-1]
-    u = -k * np.sign(x) * np.sign(e_bar) * mag * rate_scale
-    return [np.append(u, 0.0)[None, :]]
+    rate = np.zeros((1, len(x) + 1))
+    rate[0, :-1] = -k * np.sign(x) * np.sign(e_bar) * mag * rate_scale
+    return [rate]
 
 
 def mlp_update(deltas, trace: ForwardTrace, E: float, gains: GainSchedule,

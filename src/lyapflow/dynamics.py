@@ -8,6 +8,11 @@ Two run modes:
   loss is recorded once per epoch as the dataset-summed value.  This is the
   engineering analogue of discrete training and carries no certificate.
 
+Each theory-mode step evaluates E once, at its start, for the settle test
+and the record.  The RK4 stages, like the per-sample epoch steps, compute
+only the control signal; they evaluate E only for the layered law, whose
+rate scales with E**beta.
+
 An integration never mutates the caller's network; it works on its own copy
 and returns the final weights inside the Trajectory.
 """
@@ -45,7 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Integrator:
-    """Fixed-step scheme: 'rk4' (default) or 'euler'."""
+    """Fixed-step scheme: 'rk4' (default) or 'euler'.
+
+    ``method`` applies to theory mode only: an EpochFlow always takes
+    per-sample Euler steps, whatever the method says.
+    """
 
     method: str = "rk4"
     dt: float = 1e-3
@@ -91,7 +100,10 @@ class TheoryFlow:
 
 @dataclass(frozen=True)
 class EpochFlow:
-    """Per-sample Euler steps over a dataset, cycled in row order."""
+    """Per-sample Euler steps over a dataset, cycled in row order.
+
+    The integrator's ``method`` is ignored: every step is an Euler step.
+    """
 
     dataset: object
 
@@ -163,7 +175,7 @@ def _select_law(mlp: Mlp, loss, law: str) -> str:
 
 
 def _check_finite(signal, E: float, t: float) -> None:
-    if not math.isfinite(E) or any(not np.all(np.isfinite(u)) for u in signal):
+    if not math.isfinite(E) or any(not np.isfinite(u).all() for u in signal):
         raise DivergenceError(t)
 
 
@@ -183,19 +195,28 @@ class _Law:
         trace = forward(self.mlp, x)
         e = trace.y - y_star
         E = self.loss.evaluate(e)
-        if self.kind == "single_neuron":
-            u = single_neuron_update(x, float(e[0]), float(trace.preacts[0][0]),
-                                     self.gains, rate_scale=self.rate_scale)
-        elif self.kind == "mlp":
-            d = sensitivities(self.mlp, trace, y_star, self.loss)
-            u = mlp_update(d, trace, E, self.gains, self.loss)
-        else:
-            d = sensitivities(self.mlp, trace, y_star, self.loss)
-            u = gradient_flow_update(loss_gradient(d, trace), self.gains)
-        return E, e, u
+        return E, e, self._signal(trace, e, E, x, y_star)
 
     def rates(self, weights, x, y_star):
-        return self.eval(weights, x, y_star)[2]
+        """The control signal alone, as an RK4 stage or an epoch step needs it.
+
+        E is evaluated only for the layered law, whose rate scales with
+        E**beta; the other laws never read it.
+        """
+        self.mlp.weights = weights
+        trace = forward(self.mlp, x)
+        e = trace.y - y_star
+        E = self.loss.evaluate(e) if self.kind == "mlp" else None
+        return self._signal(trace, e, E, x, y_star)
+
+    def _signal(self, trace, e, E, x, y_star):
+        if self.kind == "single_neuron":
+            return single_neuron_update(x, float(e[0]), float(trace.preacts[0][0]),
+                                        self.gains, rate_scale=self.rate_scale)
+        d = sensitivities(self.mlp, trace, y_star, self.loss)
+        if self.kind == "mlp":
+            return mlp_update(d, trace, E, self.gains, self.loss)
+        return gradient_flow_update(loss_gradient(d, trace), self.gains)
 
 
 def _axpy(w, a: float, u):
@@ -337,7 +358,7 @@ def _run_epochs(mlp, mode, loss, gains, integ, stop, law_name, noise, noise_rng,
                 x, y_star = ds.inputs[i], ds.targets[i]
                 if noise is not None and step_count % noise.redraw_every == 0:
                     x = noise.apply(x, rng)
-                _, _, u = law.eval(weights, x, y_star)
+                u = law.rates(weights, x, y_star)
                 weights = _axpy(weights, integ.dt, u)
                 step_count += 1
             last_norm = signal_norm(u)

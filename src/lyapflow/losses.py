@@ -96,7 +96,7 @@ class LyapunovLoss:
         """E = sum |e|^(alpha+1) / (alpha+1), summed over every entry given."""
         e = np.asarray(e_bar, dtype=float)
         p = self.alpha + 1.0
-        return float(np.sum(np.abs(e) ** p) / p)
+        return float(np.add.reduce(np.abs(e) ** p, axis=None) / p)
 
     def error_grad(self, e_bar):
         """dE/de = sgnpow(e, alpha), elementwise."""
@@ -110,7 +110,7 @@ class L1Loss:
     name = "l1"
 
     def evaluate(self, e_bar) -> float:
-        return float(np.sum(np.abs(np.asarray(e_bar, dtype=float))))
+        return float(np.add.reduce(np.abs(np.asarray(e_bar, dtype=float)), axis=None))
 
     def error_grad(self, e_bar):
         e = np.asarray(e_bar, dtype=float)
@@ -126,7 +126,7 @@ class L2Loss:
 
     def evaluate(self, e_bar) -> float:
         e = np.asarray(e_bar, dtype=float)
-        return float(0.5 * np.sum(e * e))
+        return float(0.5 * np.add.reduce(e * e, axis=None))
 
     def error_grad(self, e_bar):
         e = np.asarray(e_bar, dtype=float)

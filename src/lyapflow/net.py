@@ -36,7 +36,9 @@ Deltas = list
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    z = np.clip(a, -PREACT_CLAMP, PREACT_CLAMP)
+    # np.minimum/np.maximum clamp exactly like np.clip, NaN included, at a
+    # fraction of its per-call cost on the short vectors of the control laws
+    z = np.minimum(np.maximum(a, -PREACT_CLAMP), PREACT_CLAMP)
     return 1.0 / (1.0 + np.exp(-z))
 
 
@@ -140,22 +142,30 @@ class ForwardTrace:
     y: np.ndarray = None
 
 
+def _with_bias(v: np.ndarray) -> np.ndarray:
+    """v with the constant bias entry 1.0 appended."""
+    z = np.empty(len(v) + 1)
+    z[:-1] = v
+    z[-1] = 1.0
+    return z
+
+
 def forward(mlp: Mlp, x) -> ForwardTrace:
     x = np.asarray(x, dtype=float)
-    if x.shape != (mlp.n_inputs,):
-        raise ShapeError(f"expected input of shape ({mlp.n_inputs},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    n = mlp.n_inputs
+    if x.shape != (n,):
+        raise ShapeError(f"expected input of shape ({n},), got {x.shape}")
+    if not np.isfinite(x).all():
         raise ShapeError("input contains non-finite entries")
 
-    preacts, acts = [], []
-    z = np.append(x, 1.0)
-    acts.append(z)
+    z = _with_bias(x)
+    preacts, acts = [], [z]
     for w, act in zip(mlp.weights, mlp.activations):
         a = w @ z
         preacts.append(a)
-        z = np.append(act.apply(a), 1.0)
+        z = _with_bias(act.apply(a))
         acts.append(z)
-    return ForwardTrace(x=x, preacts=preacts, acts=acts, y=acts[-1][:-1].copy())
+    return ForwardTrace(x=x, preacts=preacts, acts=acts, y=z[:-1].copy())
 
 
 def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss) -> Deltas:

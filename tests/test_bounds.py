@@ -35,6 +35,17 @@ def test_settling_bound_formula_direct():
     assert b.flavor == "single_neuron"
 
 
+def test_single_neuron_certificate_refuses_bias_unit_gamma():
+    # the single-neuron law freezes the bias weight, so the bias unit gives
+    # that law no excitation; the layered law moves it and keeps gamma = 1
+    gamma = estimate_gamma(np.array([[0.1, 0.05]]), source="bias_unit")
+    gains = GainSchedule.uniform(1.0)
+    with pytest.raises(GuaranteeError, match="bias"):
+        settling_bound(0.01, gains, gamma, LyapunovLoss.single_neuron(ALPHA))
+    b = settling_bound(0.01, gains, gamma, LyapunovLoss.multilayer(ALPHA), flavor="mlp")
+    assert b.gamma == 1.0
+
+
 def test_bound_gain_scaling_reproduces_reference_ratios():
     # published single-unit example: T(k) for k = 1, 5, 10 scales exactly
     # like 1/k -- the 20224.176 / 4044.835 / 2022.418 pattern.

@@ -113,6 +113,54 @@ def test_bound_refuses_overpowering_noise(tmp_path, capsys):
     assert "bound = none" in (out / "summary.kv").read_text()
 
 
+def test_bias_unit_gamma_gets_no_single_neuron_certificate(tmp_path, capsys):
+    # with gamma = 1 from the bias unit the certificate read T = 0.0249,
+    # yet this run settles near t = 0.166: the frozen bias weight excites nothing
+    cfg = _write(
+        tmp_path,
+        "net.layers = 2, 1\n"
+        "net.init = zeros\n"
+        "loss.alpha = 0.7\n"
+        "gains.k = 1\n"
+        "integ.dt = 1e-4\n"
+        "integ.t_max = 0.25\n"
+        "integ.record_stride = 100\n"
+        "stop.epsilon = 1e-6\n"
+        "mode.x = 0.1, 0.05\n"
+        "mode.y_star = 0.48\n"
+        "bound.gamma_source = bias_unit\n",
+    )
+    out = tmp_path / "out"
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 1
+    assert "refused" in capsys.readouterr().out
+    assert "bound = none (no certificate" in (out / "summary.kv").read_text()
+
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    kv = _summary(out)
+    assert kv["bound"].startswith("none (no certificate") and "bias" in kv["bound"]
+    assert "bound.T" not in kv
+    assert kv["settled"] == "true" and float(kv["settled_at"]) > 0.1
+
+
+def test_epoch_mode_train_reports_euler(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "net.layers = 4, 1\n"
+        "net.init = zeros\n"
+        "integ.method = rk4\n"
+        "integ.dt = 1e-3\n"
+        "integ.t_max = 0.05\n"
+        "mode.kind = epoch\n"
+        "data.source = blobs\n"
+        "data.per_class = 5\n",
+    )
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    kv = _summary(out)
+    assert kv["mode"] == "epoch"
+    assert kv["method"] == "euler"   # per-sample Euler steps are what ran
+
+
 def test_bound_on_dataset_mode_is_flagged_heuristic(tmp_path):
     cfg = _write(
         tmp_path,

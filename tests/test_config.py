@@ -1,5 +1,6 @@
 import pytest
 
+from lyapflow.cli import main
 from lyapflow.config import config_from_text, load_config, parse_kv
 from lyapflow.errors import ConfigError
 
@@ -117,6 +118,24 @@ def test_epoch_and_csv_cross_checks():
     probs = err.value.problems
     assert any("data.path" in p for p in probs)
     assert any("data.features" in p for p in probs)
+
+
+def test_law_and_loss_kind_cross_checks(tmp_path, capsys):
+    base = "mode.x = 1\nmode.y_star = 0.5\n"
+    for kind, law in (("lyapunov", "baseline"), ("l1", "single_neuron"),
+                      ("l2", "mlp"), ("l1", "mlp")):
+        with pytest.raises(ConfigError, match=f"loss.law = {law} needs"):
+            config_from_text(base + f"loss.kind = {kind}\nloss.law = {law}\n")
+    for kind, law in (("l1", "baseline"), ("l2", "auto"), ("lyapunov", "mlp")):
+        config_from_text(base + f"loss.kind = {kind}\nloss.law = {law}\n")
+
+    # refused when the file is read, not partway through the run
+    path = tmp_path / "run.kv"
+    path.write_text("net.layers = 4, 1\nnet.init = zeros\nloss.law = baseline\n"
+                    "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "loss.law = baseline needs" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_perturb_and_positivity_cross_checks():

@@ -22,6 +22,7 @@ from lyapflow import (
     integrate,
 )
 from lyapflow.datasets import Dataset
+from lyapflow.dynamics import _Law
 
 ALPHA = 0.7
 BETA = ALPHA / (ALPHA + 1.0)
@@ -295,3 +296,58 @@ def test_monotone_violation_counter():
     assert traj.monotone_violations() == 1
     flat = _fake_traj([0, 1, 2], [1.0, 1.0, 1.0])
     assert flat.monotone_violations() == 0  # ties are not violations
+
+
+@pytest.mark.parametrize("sizes,out_act,loss,kind", [
+    ((4, 1), Activation.SIGMOID, LyapunovLoss.single_neuron(ALPHA), "single_neuron"),
+    ((4, 8, 1), Activation.IDENTITY, LyapunovLoss.multilayer(ALPHA), "mlp"),
+    ((4, 8, 2), Activation.SIGMOID, L2Loss(), "baseline"),
+])
+def test_law_rates_are_bitwise_the_eval_signal(sizes, out_act, loss, kind):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        mlp = Mlp.random(sizes, seed=seed, output_activation=out_act)
+        law = _Law(mlp, loss, GainSchedule.uniform(1.3), "auto")
+        assert law.kind == kind
+        weights = [rng.uniform(-2.0, 2.0, w.shape) for w in mlp.weights]
+        x = rng.uniform(-1.0, 1.0, sizes[0])
+        y_star = rng.uniform(-1.0, 1.0, sizes[-1])
+        expected = law.eval(weights, x, y_star)[2]
+        got = law.rates(weights, x, y_star)
+        assert len(got) == len(expected)
+        for u, v in zip(got, expected):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def _count_lyapunov_evaluations(monkeypatch) -> list:
+    calls = []
+    original = LyapunovLoss.evaluate
+
+    def counting(self, e_bar):
+        calls.append(1)
+        return original(self, e_bar)
+
+    monkeypatch.setattr(LyapunovLoss, "evaluate", counting)
+    return calls
+
+
+def test_rk4_evaluates_E_once_per_step_for_single_neuron_law(monkeypatch):
+    mlp, loss, mode, c, E0, T = _reference_problem()
+    calls = _count_lyapunov_evaluations(monkeypatch)
+    integ = Integrator(method="rk4", dt=T / 200, t_max=0.5 * T)
+    traj = integrate(mlp, mode, loss, GainSchedule.uniform(1.0), integ, StoppingRule())
+    assert traj.settled_at is None and traj.n_records() == 101  # 100 steps, stride 1
+    assert len(calls) == traj.n_records()
+
+
+def test_rk4_evaluates_E_at_every_stage_for_layered_law(monkeypatch):
+    mlp = Mlp.random((4, 8, 1), seed=4, output_activation=Activation.IDENTITY)
+    mode = TheoryFlow(np.array([0.3, -0.2, 0.5, 0.1]), np.array([-3.0]))
+    loss = LyapunovLoss.multilayer(ALPHA)
+    calls = _count_lyapunov_evaluations(monkeypatch)
+    integ = Integrator(method="rk4", dt=1e-3, t_max=0.01)
+    traj = integrate(mlp, mode, loss, GainSchedule.uniform(1.0), integ, StoppingRule())
+    steps = traj.n_records() - 1
+    assert steps == 10 and traj.settled_at is None
+    # the start of each step plus three stages, which scale by E**beta
+    assert len(calls) == traj.n_records() + 3 * steps

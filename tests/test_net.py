@@ -13,7 +13,7 @@ from lyapflow import (
     loss_gradient,
     sensitivities,
 )
-from lyapflow.net import PREACT_CLAMP
+from lyapflow.net import PREACT_CLAMP, _sigmoid
 
 
 def fd_loss_gradient(mlp, x, y_star, loss, h=1e-6):
@@ -91,6 +91,16 @@ def test_preact_clamp_keeps_sigmoid_finite():
     assert trace.preacts[0][0] == 1000.0
     d = Activation.SIGMOID.derivative(np.array([1000.0]))
     assert np.isfinite(d[0]) and d[0] > 0.0
+
+
+def test_sigmoid_is_bitwise_the_np_clip_form():
+    edges = np.array([-np.inf, -31.0, -30.0, -29.999, -1.0, -0.0, 0.0, 5e-324,
+                      0.5, 29.999, 30.0, 31.0, np.inf, np.nan])
+    rng = np.random.default_rng(0)
+    for a in (edges, rng.normal(0.0, 20.0, 500), np.array([-0.0]), np.array([np.nan])):
+        ref = 1.0 / (1.0 + np.exp(-np.clip(a, -PREACT_CLAMP, PREACT_CLAMP)))
+        got = _sigmoid(a)
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("sizes,out_act", [
