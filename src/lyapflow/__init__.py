@@ -56,7 +56,7 @@ from .errors import (
 )
 from .losses import L1Loss, L2Loss, Loss, LyapunovLoss, loss_from_name, sgnpow
 from .net import Activation, ForwardTrace, Mlp, forward, loss_gradient, sensitivities
-from .perturb import PerturbationSpec, perturb_input, robustness_run
+from .perturb import PerturbationSpec, perturb_input, robustness_run, robustness_sweep
 
 __version__ = "0.1.0"
 
@@ -105,6 +105,7 @@ __all__ = [
     "normalize",
     "perturb_input",
     "robustness_run",
+    "robustness_sweep",
     "save_csv",
     "sensitivities",
     "settling_bound",

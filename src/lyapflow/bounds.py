@@ -15,7 +15,8 @@ flavors only differ in the constant c:
 gamma is the excitation level: some input entry of every sample exceeds it.
 With the embedded bias unit, gamma = 1 works for the layered law, which
 moves the bias weights.  The single-neuron law freezes its bias weight, so
-its certificate refuses a bias_unit gamma.
+every certificate for it -- the perturbed flavor too -- refuses a bias_unit
+gamma (``refuse_frozen_bias``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "SettlingBound",
     "DecreaseReport",
     "estimate_gamma",
+    "refuse_frozen_bias",
     "settling_bound",
     "verify_decrease",
 ]
@@ -65,8 +67,8 @@ def estimate_gamma(inputs, source: str = "data_min") -> GammaEstimate:
     that every sample is guaranteed to excite.  Fails on an all-zero sample.
     'bias_unit': gamma = 1, valid whenever the network carries the embedded
     constant-1 bias entry and the law moves its weight, regardless of the
-    data.  The single-neuron law does not, so ``settling_bound`` refuses
-    this source for the single_neuron flavor.
+    data.  The single-neuron law does not, so ``refuse_frozen_bias``
+    refuses this source for it.
     """
     x = np.asarray(getattr(inputs, "inputs", inputs), dtype=float)
     if x.ndim == 1:
@@ -118,6 +120,16 @@ class SettlingBound:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
+def refuse_frozen_bias(gamma: GammaEstimate, law: str) -> None:
+    """Refuse a bias_unit gamma for the single-neuron law under any flavor:
+    the law freezes its bias weight, so the bias unit excites nothing."""
+    if law == "single_neuron" and gamma.source == "bias_unit":
+        raise GuaranteeError(
+            "no certificate: the single-neuron law freezes the bias weight, so the "
+            "bias unit gives no excitation; use gamma_source = data_min or set gamma"
+        )
+
+
 def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
                    loss: LyapunovLoss, flavor: str = "single_neuron",
                    M: float | None = None) -> SettlingBound:
@@ -126,11 +138,8 @@ def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     if not (E0 > 0 and math.isfinite(E0)):
         raise ValueError(f"E0 must be finite and > 0, got {E0}")
-    if flavor == "single_neuron" and gamma.source == "bias_unit":
-        raise GuaranteeError(
-            "no certificate: the single-neuron law freezes the bias weight, so the "
-            "bias unit gives no excitation; use gamma_source = data_min or set gamma"
-        )
+    if flavor == "single_neuron":
+        refuse_frozen_bias(gamma, "single_neuron")
     alpha = loss.alpha
     beta = alpha / (alpha + 1.0) if flavor == "single_neuron" else loss.beta
     if not 0.0 < beta < 1.0:

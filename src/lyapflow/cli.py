@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets as ds_mod
-from .bounds import GammaEstimate, estimate_gamma, settling_bound
+from .bounds import GammaEstimate, estimate_gamma, refuse_frozen_bias, settling_bound
 from .config import ExperimentConfig, load_config
 from .control import GainSchedule
 from .dynamics import (
@@ -34,7 +34,7 @@ from .dynamics import (
     Integrator,
     StoppingRule,
     TheoryFlow,
-    dataset_loss,
+    initial_loss,
     integrate,
 )
 from .errors import ConfigError, GuaranteeError, LyapflowError
@@ -108,10 +108,12 @@ def _build_mode(cfg: ExperimentConfig, dataset):
     return TheoryFlow(np.array(cfg.x), np.array(cfg.y_star))
 
 
-def _initial_loss(mlp: Mlp, mode, loss) -> float:
-    if isinstance(mode, TheoryFlow):
-        return loss.evaluate(forward(mlp, mode.x).y - mode.y_star)
-    return dataset_loss(mlp, mode.dataset, loss)[0]
+def _setup(cfg: ExperimentConfig, args) -> tuple:
+    """(net, resolved law, loss, mode), built in this order by most commands."""
+    dataset = _build_dataset(cfg)
+    mlp = _build_net(cfg)
+    law_kind = _resolve_law(cfg, mlp)
+    return mlp, law_kind, _build_loss(cfg, law_kind, args.unsafe_alpha), _build_mode(cfg, dataset)
 
 
 def _gamma_for(cfg: ExperimentConfig, mode) -> GammaEstimate:
@@ -121,27 +123,18 @@ def _gamma_for(cfg: ExperimentConfig, mode) -> GammaEstimate:
     return estimate_gamma(inputs, source=cfg.gamma_source)
 
 
-def _maybe_bound(cfg, mode, loss, gains, E0, spec=None):
-    """Settling certificate for the run, or (None, reason)."""
+def _maybe_bound(cfg, mode, loss, gains, E0, law_kind, spec=None):
+    """Settling certificate for a run of `law_kind`, or (None, reason)."""
     if not isinstance(loss, LyapunovLoss):
         return None, f"no certificate for {loss.name} loss"
     if E0 <= 0:
         return None, "already settled at t = 0"
     if spec is not None and spec.mode == "amplitude":
         return None, "amplitude-mode noise carries no certificate"
-    flavor = cfg.flavor
-    if flavor is None:
-        if spec is not None:
-            flavor = "perturbed"
-        elif cfg.law == "mlp" or (cfg.law == "auto" and len(cfg.layers) > 2):
-            flavor = "mlp"
-        elif cfg.law == "auto" and (cfg.layers[-1] != 1
-                                    or cfg.output_activation != "sigmoid"):
-            flavor = "mlp"
-        else:
-            flavor = "single_neuron"
+    flavor = cfg.flavor or ("perturbed" if spec is not None else law_kind)
     try:
         gamma = _gamma_for(cfg, mode)
+        refuse_frozen_bias(gamma, law_kind)
         M = spec.M if (flavor == "perturbed" and spec is not None) else None
         bound = settling_bound(E0, gains, gamma, loss, flavor=flavor, M=M)
     except (GuaranteeError, LyapflowError, ValueError) as exc:
@@ -169,13 +162,8 @@ def _build_spec(cfg: ExperimentConfig, loss, m_override=None):
     alpha = cfg.perturb_alpha
     if alpha is None and mode == "vanishing":
         alpha = getattr(loss, "alpha", 0.7)
-    return PerturbationSpec(
-        mode=mode,
-        M=cfg.perturb_m if m_override is None else m_override,
-        alpha=alpha,
-        seed=cfg.seed,
-        redraw_every=cfg.redraw_every,
-    )
+    M = cfg.perturb_m if m_override is None else m_override
+    return PerturbationSpec(mode, M, alpha, cfg.seed, cfg.redraw_every)
 
 
 # ---------------------------------------------------------------- output
@@ -215,16 +203,12 @@ def _plot_series(out: Path, series, title: str) -> None:
 
 
 def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
-    dataset = _build_dataset(cfg)
-    mlp = _build_net(cfg)
-    law_kind = _resolve_law(cfg, mlp)
-    loss = _build_loss(cfg, law_kind, args.unsafe_alpha)
+    mlp, law_kind, loss, mode = _setup(cfg, args)
     gains = GainSchedule.uniform(cfg.k)
-    mode = _build_mode(cfg, dataset)
     spec = _build_spec(cfg, loss)
 
-    E0 = _initial_loss(mlp, mode, loss)
-    bound, refusal = _maybe_bound(cfg, mode, loss, gains, E0, spec)
+    E0 = initial_loss(mlp, mode, loss)
+    bound, refusal = _maybe_bound(cfg, mode, loss, gains, E0, law_kind, spec)
     integ = _build_integrator(cfg, bound)
     stop = StoppingRule(cfg.epsilon)
 
@@ -269,25 +253,15 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
-    dataset = _build_dataset(cfg)
-    mlp = _build_net(cfg)
-    mode = _build_mode(cfg, dataset)
-    gains = GainSchedule.uniform(cfg.k)
-    stop = StoppingRule(cfg.epsilon)
-    integ = _build_integrator(cfg, None)
-
-    lyap_kind = _resolve_law(cfg, mlp)
+    mlp, lyap_kind, lyap, mode = _setup(cfg, args)
     if lyap_kind == "baseline":
         raise ConfigError(["compare needs loss.kind = lyapunov as the reference"])
-    try:
-        if lyap_kind == "mlp":
-            lyap = LyapunovLoss.multilayer(cfg.alpha, cfg.beta,
-                                           allow_unsafe_alpha=args.unsafe_alpha)
-        else:
-            lyap = LyapunovLoss.single_neuron(cfg.alpha,
-                                              allow_unsafe_alpha=args.unsafe_alpha)
-    except ValueError as exc:
-        raise ConfigError([f"loss: {exc}"])
+    gains = GainSchedule.uniform(cfg.k)
+    stop = StoppingRule(cfg.epsilon)
+    # the time step comes from the Lyapunov row's certificate, as in train
+    bound, _ = _maybe_bound(cfg, mode, lyap, gains, initial_loss(mlp, mode, lyap),
+                            lyap_kind)
+    integ = _build_integrator(cfg, bound)
 
     runs = []
     for loss in (lyap, L1Loss(), L2Loss()):
@@ -328,17 +302,13 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
-    dataset = _build_dataset(cfg)
-    mlp = _build_net(cfg)
-    law_kind = _resolve_law(cfg, mlp)
-    loss = _build_loss(cfg, law_kind, args.unsafe_alpha)
+    mlp, law_kind, loss, mode = _setup(cfg, args)
     gains = GainSchedule.uniform(cfg.k)
-    mode = _build_mode(cfg, dataset)
     spec = _build_spec(cfg, loss)
 
-    E0 = _initial_loss(mlp, mode, loss)
+    E0 = initial_loss(mlp, mode, loss)
     lines = ["command = bound", f"seed = {cfg.seed}", f"E0 = {_num(E0)}"]
-    bound, refusal = _maybe_bound(cfg, mode, loss, gains, E0, spec)
+    bound, refusal = _maybe_bound(cfg, mode, loss, gains, E0, law_kind, spec)
     if bound is None:
         lines.append(f"bound = none ({refusal})")
         _write_kv(out / "summary.kv", lines)
@@ -359,17 +329,14 @@ def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
 def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     if not cfg.m_values:
         raise ConfigError(["perturb-sweep needs sweep.m_values"])
-    from .perturb import robustness_run
+    from .perturb import robustness_sweep
 
-    dataset = _build_dataset(cfg)
-    mlp = _build_net(cfg)
-    law_kind = _resolve_law(cfg, mlp)
-    loss = _build_loss(cfg, law_kind, args.unsafe_alpha)
+    mlp, law_kind, loss, mode = _setup(cfg, args)
     gains = GainSchedule.uniform(cfg.k)
-    mode = _build_mode(cfg, dataset)
     integ = _build_integrator(cfg, None)
     stop = StoppingRule(cfg.epsilon)
     gamma = GammaEstimate(cfg.gamma, source="user") if cfg.gamma is not None else None
+    specs = [_build_spec(cfg, loss, m_override=m) for m in cfg.m_values]
 
     lines = [
         "command = perturb-sweep",
@@ -379,10 +346,10 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     ]
     series = []
     print(f"{'M':>10s} {'certified':>9s} {'T_bound':>12s} {'settled_at':>12s} {'final_E':>12s}")
-    for i, m in enumerate(cfg.m_values):
-        spec = _build_spec(cfg, loss, m_override=m)
-        traj, bnd = robustness_run(mlp, mode, spec, gains, loss, integ, stop,
-                                   gamma=gamma, law=cfg.law)
+    levels = robustness_sweep(mlp, mode, specs, gains, loss, integ, stop,
+                              gamma=gamma, law=cfg.law)
+    for i, (spec, (traj, bnd)) in enumerate(zip(specs, levels)):
+        m = spec.M
         certified = bnd is not None
         p = f"row{i}."
         lines += [f"{p}M = {_num(m)}", f"{p}certified = {'true' if certified else 'false'}"]
@@ -398,9 +365,8 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
               f"{(f'{bnd.T:.6g}' if certified else 'none'):>12s} "
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
               f"{traj.E[-1]:12.6g}")
-        last_traj = traj
     _write_kv(out / "summary.kv", lines)
-    last_traj.to_csv(out / "trajectory.csv")
+    traj.to_csv(out / "trajectory.csv")
     _plot_series(out, series, title="settling under input noise")
     return 0
 
@@ -461,11 +427,7 @@ def _fd_gradient(mlp: Mlp, x, y_star, loss, h: float = 1e-6) -> list:
 
 
 def _cmd_gradcheck(cfg: ExperimentConfig, args, out: Path) -> int:
-    dataset = _build_dataset(cfg)
-    mlp = _build_net(cfg)
-    law_kind = _resolve_law(cfg, mlp)
-    loss = _build_loss(cfg, law_kind, args.unsafe_alpha)
-    mode = _build_mode(cfg, dataset)
+    mlp, _, loss, mode = _setup(cfg, args)
     if isinstance(mode, TheoryFlow):
         x, y_star = mode.x, mode.y_star
     else:

@@ -8,6 +8,7 @@ bad config in one round trip instead of five.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -258,6 +259,16 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
         probs.append(f"{source}: loss.law = {cfg.law} needs loss.kind = lyapunov")
     if cfg.perturb_mode is not None and cfg.perturb_m is None:
         probs.append(f"{source}: perturb.mode needs perturb.M")
+    levels = cfg.m_values + ((cfg.perturb_m,) if cfg.perturb_m is not None else ())
+    if any(not 0.0 <= m < math.inf for m in levels):
+        probs.append(f"{source}: perturb.M and sweep.m_values must be finite and >= 0")
+    if cfg.perturb_alpha is not None and not 0.0 <= cfg.perturb_alpha < 1.0:
+        probs.append(f"{source}: perturb.alpha must lie in [0, 1)")
+    if cfg.redraw_every < 1:
+        probs.append(f"{source}: perturb.redraw_every must be >= 1")
+    elif cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample
+        probs.append(f"{source}: perturb.redraw_every > 1 needs mode.kind = theory; "
+                     "epoch mode draws fresh noise for every sample")
     if cfg.dt is not None and cfg.dt <= 0:
         probs.append(f"{source}: integ.dt must be positive")
     if cfg.t_max <= 0:

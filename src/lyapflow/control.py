@@ -8,6 +8,9 @@ Three laws live here:
 * ``mlp_update`` -- the layered law: each weight moves against the signed
   fractional power of its own loss sensitivity, scaled by E**beta.
 * ``gradient_flow_update`` -- plain gradient flow, used for L1/L2 baselines.
+
+Each law also takes a stack of runs (a leading run axis on trace, errors and
+E) and rounds every run exactly as it would be rounded alone.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LyapunovLoss, sgnpow
-from .net import PREACT_CLAMP, ForwardTrace
+from .net import PREACT_CLAMP, ForwardTrace, loss_gradient
 
 __all__ = [
     "GainSchedule",
@@ -101,16 +104,26 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     +/-30.  With rate_scale=1 the induced loss rate is exactly
     -|e|**alpha * sum(k_i |x_i|); see :func:`lyapunov_rate_scale` for the
     scale that restates it in terms of E**beta.
+
+    For a stack of R runs e_bar and z are arrays of one value per run and x
+    is (R, n) or one shared (n,) sample; the rate is then (R, 1, n+1).
     """
     x = np.asarray(x, dtype=float)
-    # max first, so a NaN pre-activation passes through as it would np.clip
-    zc = min(max(float(z), -PREACT_CLAMP), PREACT_CLAMP)
-    mag = np.exp(zc) + 2.0 + np.exp(-zc)
+    stacked = isinstance(z, np.ndarray) and z.ndim > 0
+    # max first, so a NaN pre-activation passes through as it would np.clip;
+    # one run clamps a Python float, at a fraction of two ufunc calls
+    if stacked:
+        zc = np.minimum(np.maximum(z, -PREACT_CLAMP), PREACT_CLAMP)
+    else:
+        zc = min(max(float(z), -PREACT_CLAMP), PREACT_CLAMP)
+    # sign(e) scales by +/-1 or 0, so folding it into the magnitude first
+    # rounds exactly like applying it to the rate
+    mag = np.sign(e_bar) * (np.exp(zc) + 2.0 + np.exp(-zc))
     k = gains.layer(0)
     if isinstance(k, np.ndarray):
         k = k[0, :-1]
-    rate = np.zeros((1, len(x) + 1))
-    rate[0, :-1] = -k * np.sign(x) * np.sign(e_bar) * mag * rate_scale
+    rate = np.zeros(mag.shape + (1, x.shape[-1] + 1))
+    rate[..., 0, :-1] = -k * np.sign(x) * (mag[:, None] if stacked else mag) * rate_scale
     return [rate]
 
 
@@ -119,20 +132,23 @@ def mlp_update(deltas, trace: ForwardTrace, E: float, gains: GainSchedule,
     """Layered law: dW_l/dt = -K_l * sgnpow(delta_l z_l^T, alpha) * E**beta.
 
     Bias columns are updated like any other weight (their activation entry
-    is the constant 1).  Valid for alpha + beta < 1.
+    is the constant 1).  Valid for alpha + beta < 1.  E is one value per run
+    for a stack of runs.
     """
-    if E < 0:
+    stacked = isinstance(E, np.ndarray) and E.ndim > 0
+    values = E.tolist() if stacked else [E]
+    if any(v < 0 for v in values):
         raise ValueError(f"E must be >= 0, got {E}")
     if loss.alpha + loss.beta >= 1.0:
         raise ValueError(
             f"layered law needs alpha + beta < 1, got {loss.alpha} + {loss.beta}"
         )
-    scale = E ** loss.beta
-    signal = []
-    for l, d in enumerate(deltas):
-        sens = np.outer(d, trace.acts[l])
-        signal.append(-gains.layer(l) * sgnpow(sens, loss.alpha) * scale)
-    return signal
+    # libm's pow, one run at a time: numpy's vectorised power may round the
+    # last bit differently, and the weights would drift from a lone run's
+    powers = [v ** loss.beta for v in values]
+    scale = np.reshape(powers, (-1, 1, 1)) if stacked else powers[0]
+    return [-gains.layer(l) * sgnpow(sens, loss.alpha) * scale
+            for l, sens in enumerate(loss_gradient(deltas, trace))]
 
 
 def gradient_flow_update(grad, gains: GainSchedule) -> ControlSignal:

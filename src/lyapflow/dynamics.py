@@ -8,6 +8,13 @@ Two run modes:
   loss is recorded once per epoch as the dataset-summed value.  This is the
   engineering analogue of discrete training and carries no certificate.
 
+One loop integrates both modes for a stack of R runs that differ only in
+their input-noise level M.  Each weight layer is one (R, out, in+1) array,
+so a step costs one numpy call per operation whatever R is, and each run
+rounds exactly as it would alone.  A run that settles, diverges or fails
+leaves the active set at once: the stack is compacted, never masked.
+``integrate`` is the one-run case of ``integrate_batch``.
+
 Each theory-mode step evaluates E once, at its start, for the settle test
 and the record.  The RK4 stages, like the per-sample epoch steps, compute
 only the control signal; they evaluate E only for the layered law, whose
@@ -43,6 +50,9 @@ __all__ = [
     "EpochFlow",
     "Trajectory",
     "integrate",
+    "integrate_batch",
+    "initial_loss",
+    "select_law",
     "detect_settle",
     "dataset_loss",
 ]
@@ -103,6 +113,8 @@ class EpochFlow:
     """Per-sample Euler steps over a dataset, cycled in row order.
 
     The integrator's ``method`` is ignored: every step is an Euler step.
+    Input noise is drawn afresh for every sample; an offset cannot be held
+    across samples whose envelopes differ, so ``redraw_every`` must be 1.
     """
 
     dataset: object
@@ -152,7 +164,17 @@ def dataset_loss(mlp: Mlp, dataset, loss) -> tuple:
     return loss.evaluate(errs), np.mean(np.abs(errs), axis=0)
 
 
-def _select_law(mlp: Mlp, loss, law: str) -> str:
+def initial_loss(mlp: Mlp, mode, loss) -> float:
+    """E at the network's weights on the flow's clean inputs (a certificate's E0)."""
+    if isinstance(mode, TheoryFlow):
+        return loss.evaluate(forward(mlp, mode.x).y - mode.y_star)
+    if isinstance(mode, EpochFlow):
+        return dataset_loss(mlp, mode.dataset, loss)[0]
+    raise ModeError(f"unknown train mode {type(mode).__name__}")
+
+
+def select_law(mlp: Mlp, loss, law: str) -> str:
+    """Resolve 'auto' and check that the named law fits the net and loss."""
     if not isinstance(loss, LyapunovLoss):
         if law not in ("auto", "baseline"):
             raise ModeError(f"law {law!r} requires the Lyapunov loss")
@@ -174,49 +196,34 @@ def _select_law(mlp: Mlp, loss, law: str) -> str:
     return law
 
 
-def _check_finite(signal, E: float, t: float) -> None:
-    if not math.isfinite(E) or any(not np.isfinite(u).all() for u in signal):
-        raise DivergenceError(t)
-
-
 class _Law:
-    """Evaluates (E, error vector, control signal) for a weight state."""
+    """(E, error, control signal) of a weight state, for one run or a stack."""
 
     def __init__(self, mlp: Mlp, loss, gains: GainSchedule, law: str):
-        self.mlp = mlp
-        self.loss = loss
-        self.gains = gains
-        self.kind = _select_law(mlp, loss, law)
+        self.mlp, self.loss, self.gains = mlp, loss, gains
+        self.kind = select_law(mlp, loss, law)
         if self.kind == "single_neuron":
             self.rate_scale = lyapunov_rate_scale(loss.alpha)
 
-    def eval(self, weights, x, y_star) -> tuple:
+    def eval(self, weights, x, y_star, with_E: bool = True) -> tuple:
         self.mlp.weights = weights
         trace = forward(self.mlp, x)
         e = trace.y - y_star
-        E = self.loss.evaluate(e)
-        return E, e, self._signal(trace, e, E, x, y_star)
-
-    def rates(self, weights, x, y_star):
-        """The control signal alone, as an RK4 stage or an epoch step needs it.
-
-        E is evaluated only for the layered law, whose rate scales with
-        E**beta; the other laws never read it.
-        """
-        self.mlp.weights = weights
-        trace = forward(self.mlp, x)
-        e = trace.y - y_star
-        E = self.loss.evaluate(e) if self.kind == "mlp" else None
-        return self._signal(trace, e, E, x, y_star)
-
-    def _signal(self, trace, e, E, x, y_star):
+        E = None
+        if with_E or self.kind == "mlp":  # a stack passes (runs, 1, outputs)
+            E = self.loss.evaluate(e if e.ndim == 1 else e[:, None, :])
         if self.kind == "single_neuron":
-            return single_neuron_update(x, float(e[0]), float(trace.preacts[0][0]),
-                                        self.gains, rate_scale=self.rate_scale)
+            return E, e, single_neuron_update(x, e[..., 0], trace.preacts[0][..., 0],
+                                              self.gains, rate_scale=self.rate_scale)
         d = sensitivities(self.mlp, trace, y_star, self.loss)
         if self.kind == "mlp":
-            return mlp_update(d, trace, E, self.gains, self.loss)
-        return gradient_flow_update(loss_gradient(d, trace), self.gains)
+            return E, e, mlp_update(d, trace, E, self.gains, self.loss)
+        return E, e, gradient_flow_update(loss_gradient(d, trace), self.gains)
+
+    def rates(self, weights, x, y_star):
+        """The control signal alone, as an RK4 stage or an epoch step needs it;
+        E is evaluated only for the layered law, whose rate scales with E**beta."""
+        return self.eval(weights, x, y_star, with_E=False)[2]
 
 
 def _axpy(w, a: float, u):
@@ -236,6 +243,173 @@ def _step(law: _Law, weights, x, y_star, dt: float, method: str, u0):
     ]
 
 
+class _Runs:
+    """The active set of a stack of runs, and everything recorded so far.
+
+    A stack keeps its run axis even when compaction leaves one run; a lone
+    run has none, so its law works on matrices and scalars, which numpy
+    evaluates several times faster than one-element arrays."""
+
+    def __init__(self, weights, count: int, x):
+        self.ids, self.stacked = np.arange(count), count > 1
+        self.W = [np.repeat(w[None], count, axis=0) for w in weights] if self.stacked else weights
+        self.x, self.u = x, None    # inputs, shared or one row per run; last signal
+        self.done = [None] * count  # (settled_at, final weights) or an error
+        # flat lists of floats: less memory than small arrays, nothing to scan
+        self.rec_ids, self.rec_t, self.rec_E, self.rec_err, self.rec_norm = [], [], [], [], []
+
+    def rows(self, arrays, j: int) -> list:
+        """Run j's part of per-run arrays such as the weights or the signal."""
+        return [a[j] for a in arrays] if self.stacked else arrays
+
+    def drop(self, gone, outcome) -> None:
+        """Take the runs at positions `gone` out; outcome(j) is how run j ended."""
+        for j in np.flatnonzero(gone):
+            self.done[self.ids[j]] = outcome(j)
+        keep = ~gone
+        self.ids = self.ids[keep]
+        if self.stacked:
+            self.W = [w[keep] for w in self.W]
+            self.u = None if self.u is None else [v[keep] for v in self.u]
+            if self.x is not None and self.x.ndim == 2:
+                self.x = self.x[keep]
+
+    def finish(self, ended, settled_at) -> None:
+        self.drop(ended, lambda j: (settled_at, [w.copy() for w in self.rows(self.W, j)]))
+
+    def record(self, t: float, E, errs, rows=None) -> None:
+        """Record the runs at positions `rows`, or every active run."""
+        ids, positions = self.ids, range(len(self.ids))
+        if rows is not None:
+            ids, E, errs, positions = ids[rows], E[rows], errs[rows], np.flatnonzero(rows)
+        self.rec_ids.append(ids)
+        self.rec_t.append(t)
+        self.rec_E += E.tolist()
+        self.rec_err += errs.ravel().tolist()
+        self.rec_norm += ([0.0] * len(ids) if self.u is None else
+                          [signal_norm(self.rows(self.u, j)) for j in positions])
+
+    def results(self, epsilon: float) -> list:
+        if not self.rec_t:  # every run failed before its first record
+            return list(self.done)
+        ids = np.concatenate(self.rec_ids)
+        t = np.repeat(self.rec_t, [len(i) for i in self.rec_ids])
+        E, norms = np.array(self.rec_E), np.array(self.rec_norm)
+        errs = np.array(self.rec_err).reshape(len(E), -1)
+        out = []
+        for run, done in enumerate(self.done):
+            mine = ids == run
+            out.append(done if isinstance(done, Exception) else Trajectory(
+                t=t[mine], E=E[mine], errors=errs[mine], control_norm=norms[mine],
+                settled_at=done[0], epsilon=epsilon, final_weights=done[1]))
+        return out
+
+
+class _Noise:
+    """Input noise for a stack of runs whose specs differ only in M.
+
+    Each redraw takes one block U of unit draws from one generator, and run r
+    gets x + (-b_r + (b_r - -b_r) * U) for its envelope b_r: bitwise what
+    rng.uniform(-b_r, b_r) returns from a generator in the same state, so
+    every run sees the stream it would see alone."""
+
+    def __init__(self, specs, rng):
+        spec = specs[0]
+        self.every, self.M = spec.redraw_every, np.array([s.M for s in specs])[:, None]
+        self.alpha = spec.alpha if spec.mode == "vanishing" else None
+        self.rng = np.random.default_rng(spec.seed) if rng is None else rng
+
+    def draw(self, x, runs: _Runs):
+        """Perturbed copies of the sample x, one per active run.  A run whose
+        draw range or perturbed input is not finite fails here, with the error
+        rng.uniform or forward would raise for it alone."""
+        u = self.rng.random(x.shape)
+        b = self.M[runs.ids] * (np.ones_like(x) if self.alpha is None else np.abs(x) ** self.alpha)
+        lo = -b
+        span = b - lo
+        xs = x + (lo + span * u)
+        bad_range = ~np.isfinite(span).all(axis=1)
+        bad = bad_range | ~np.isfinite(xs).all(axis=1)
+        if bad.any():
+            runs.drop(bad, lambda j: OverflowError("Range exceeds valid bounds")
+                      if bad_range[j] else ShapeError("input contains non-finite entries"))
+            xs = xs[~bad]
+        return xs if runs.stacked or not len(xs) else xs[0]
+
+
+def _non_finite(E, u):
+    """Mask of the runs whose E (one per run) or signal is not finite, or None.
+
+    A finite grand total proves every entry finite (an inf or a nan cannot
+    cancel out of a sum), so only a non-finite total pays for a per-run check.
+    """
+    total = np.add.reduce(E, axis=None)
+    for v in u:
+        total += np.add.reduce(v, axis=None)
+    if math.isfinite(total):
+        return None
+    bad = ~np.isfinite(E)
+    for v in u:
+        bad |= ~np.isfinite(v.reshape(len(E), -1)).all(axis=1)
+    return bad if bad.any() else None
+
+
+class _Theory:
+    """Theory mode: a checkpoint at every step, one RK4 or Euler step apart."""
+
+    span = 1
+
+    def __init__(self, mode: TheoryFlow, law: _Law, integ: Integrator):
+        self.x, self.y_star, self.law, self.integ = mode.x, mode.y_star, law, integ
+
+    def measure(self, runs: _Runs, noise, n: int, t: float):
+        if noise is not None and n % noise.every == 0:
+            runs.x = noise.draw(self.x, runs)
+            if not len(runs.ids):
+                return None, None
+        E, e, runs.u = self.law.eval(runs.W, runs.x, self.y_star)
+        if not runs.stacked:
+            E, e = np.array([E]), e[None]
+        bad = _non_finite(E, runs.u)
+        if bad is not None:
+            runs.drop(bad, lambda j: DivergenceError(t))
+            E, e = E[~bad], e[~bad]
+        return E, e
+
+    def advance(self, runs: _Runs, noise) -> None:
+        runs.W = _step(self.law, runs.W, runs.x, self.y_star, self.integ.dt,
+                       self.integ.method, runs.u)
+
+
+class _Epochs:
+    """Epoch mode: a checkpoint every epoch, one Euler step per sample apart."""
+
+    def __init__(self, mode: EpochFlow, law: _Law, integ: Integrator):
+        self.ds, self.law, self.dt, self.span = mode.dataset, law, integ.dt, len(mode.dataset)
+
+    def measure(self, runs: _Runs, noise, n: int, t: float):
+        E, errs, bad = np.empty(len(runs.ids)), [], np.zeros(len(runs.ids), dtype=bool)
+        for j in range(len(runs.ids)):
+            self.law.mlp.weights = w = runs.rows(runs.W, j)
+            E[j], mean_abs = dataset_loss(self.law.mlp, self.ds, self.law.loss)
+            errs.append(mean_abs)
+            bad[j] = not (math.isfinite(E[j]) and all(np.isfinite(v).all() for v in w))
+        errs = np.array(errs)
+        if bad.any():
+            runs.drop(bad, lambda j: DivergenceError(t))
+            E, errs = E[~bad], errs[~bad]
+        return E, errs
+
+    def advance(self, runs: _Runs, noise) -> None:
+        for x, y_star in zip(self.ds.inputs, self.ds.targets):
+            if noise is not None:
+                x = noise.draw(x, runs)
+                if not len(runs.ids):
+                    return
+            runs.u = self.law.rates(runs.W, x, y_star)
+            runs.W = _axpy(runs.W, self.dt, runs.u)
+
+
 def integrate(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
               stop: StoppingRule, law: str = "auto", noise=None,
               noise_rng=None) -> Trajectory:
@@ -249,126 +423,80 @@ def integrate(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
     Raises HorizonError if t_max/dt exceeds the step budget, and
     DivergenceError if the state stops being finite.
     """
+    (outcome,) = integrate_batch(mlp, mode, loss, gains, integ, stop, law,
+                                 None if noise is None else [noise], noise_rng)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
+                    stop: StoppingRule, law: str = "auto", noises=None,
+                    noise_rng=None) -> list:
+    """Integrate one flow from `mlp` once per noise spec, as one stack.
+
+    Run r perturbs its inputs by `noises[r]` (one noise-free run if `noises`
+    is None).  The specs may differ only in M; the runs share one noise
+    stream, the same unit draws scaled by each run's envelope.  Returns one
+    entry per run: its Trajectory, or the error that stopped it alone --
+    DivergenceError, ShapeError for a non-finite perturbed input or
+    OverflowError for a non-finite draw range.  Errors that concern every
+    run (step budget, shapes, law) are raised.
+    """
     n_steps = math.ceil(integ.t_max / integ.dt - 1e-12)
     if n_steps > integ.step_budget:
         raise HorizonError(
             f"t_max/dt = {n_steps} steps exceeds the budget of {integ.step_budget}"
         )
-
+    work = mlp.copy()
     if isinstance(mode, TheoryFlow):
-        return _run_theory(mlp, mode, loss, gains, integ, stop, law, noise,
-                           noise_rng, n_steps)
-    if isinstance(mode, EpochFlow):
-        return _run_epochs(mlp, mode, loss, gains, integ, stop, law, noise,
-                           noise_rng, n_steps)
-    raise ModeError(f"unknown train mode {type(mode).__name__}")
-
-
-def _run_theory(mlp, mode, loss, gains, integ, stop, law_name, noise, noise_rng,
-                n_steps) -> Trajectory:
-    work = mlp.copy()
-    if mode.x.shape != (work.n_inputs,):
-        raise ShapeError(
-            f"sample has {mode.x.shape} inputs, network expects ({work.n_inputs},)"
-        )
-    law = _Law(work, loss, gains, law_name)
-    weights = work.weights
-    rng = noise_rng
-    if noise is not None and rng is None:
-        rng = np.random.default_rng(noise.seed)
-
-    ts, Es, errs, norms = [], [], [], []
-    settled_at = None
-    x_step = mode.x
-    # overflow in a diverging state is expected; _check_finite reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps + 1):
-            t = n * integ.dt
-            if noise is not None and n % noise.redraw_every == 0:
-                x_step = noise.apply(mode.x, rng)
-            E, e, u = law.eval(weights, x_step, mode.y_star)
-            _check_finite(u, E, t)
-            settled = E <= stop.epsilon
-            if n % integ.record_stride == 0 or settled or n == n_steps:
-                ts.append(t)
-                Es.append(E)
-                errs.append(e.copy())
-                norms.append(signal_norm(u))
-            if settled:
-                settled_at = t
-                break
-            if n == n_steps:
-                break
-            weights = _step(law, weights, x_step, mode.y_star, integ.dt,
-                            integ.method, u)
-
-    work.weights = weights
-    return Trajectory(
-        t=np.array(ts), E=np.array(Es), errors=np.array(errs),
-        control_norm=np.array(norms), settled_at=settled_at,
-        epsilon=stop.epsilon, final_weights=weights,
-    )
-
-
-def _run_epochs(mlp, mode, loss, gains, integ, stop, law_name, noise, noise_rng,
-                n_steps) -> Trajectory:
-    ds = mode.dataset
-    work = mlp.copy()
-    if ds.n_features != work.n_inputs or ds.n_targets != work.n_outputs:
-        raise ShapeError(
-            f"dataset is {ds.n_features}->{ds.n_targets}, network is "
-            f"{work.n_inputs}->{work.n_outputs}"
-        )
-    law = _Law(work, loss, gains, law_name)
-    weights = work.weights
-    rng = noise_rng
-    if noise is not None and rng is None:
-        rng = np.random.default_rng(noise.seed)
-
-    n = len(ds)
-    n_epochs = n_steps // n
-    if n_epochs < 1:
+        if mode.x.shape != (work.n_inputs,) or mode.y_star.shape != (work.n_outputs,):
+            raise ShapeError(
+                f"sample is {mode.x.shape} -> {mode.y_star.shape}, network expects "
+                f"({work.n_inputs},) -> ({work.n_outputs},)"
+            )
+        flow = _Theory(mode, _Law(work, loss, gains, law), integ)
+    elif isinstance(mode, EpochFlow):
+        ds = mode.dataset
+        if ds.n_features != work.n_inputs or ds.n_targets != work.n_outputs:
+            raise ShapeError(
+                f"dataset is {ds.n_features}->{ds.n_targets}, network is "
+                f"{work.n_inputs}->{work.n_outputs}"
+            )
+        if noises and noises[0].redraw_every != 1:
+            raise ModeError("epoch mode draws fresh noise for every sample; "
+                            "redraw_every must be 1")
+        flow = _Epochs(mode, _Law(work, loss, gains, law), integ)
+    else:
+        raise ModeError(f"unknown train mode {type(mode).__name__}")
+    last = n_steps // flow.span
+    if last < 1:
         raise HorizonError(
-            f"t_max/dt = {n_steps} steps is less than one epoch of {n} samples"
+            f"t_max/dt = {n_steps} steps is less than one epoch of {flow.span} samples"
         )
 
-    ts, Es, errs, norms = [], [], [], []
-    settled_at = None
-    last_norm = 0.0
-    step_count = 0
-    # overflow in a diverging state is expected; the finite check reports it
+    runs = _Runs(work.weights, 1 if noises is None else len(noises), getattr(flow, "x", None))
+    noise = None if noises is None else _Noise(noises, noise_rng)
+    # overflow in a diverging state is expected; the finite checks report it
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(n_epochs + 1):
-            work.weights = weights
-            E_sum, mean_abs = dataset_loss(work, ds, loss)
-            t = step_count * integ.dt
-            if not math.isfinite(E_sum) or any(not np.all(np.isfinite(w)) for w in weights):
-                raise DivergenceError(t)
-            if epoch % integ.record_stride == 0 or E_sum <= stop.epsilon or epoch == n_epochs:
-                ts.append(t)
-                Es.append(E_sum)
-                errs.append(mean_abs)
-                norms.append(last_norm)
-            if E_sum <= stop.epsilon:
-                settled_at = t
+        for n in range(last + 1):
+            t = n * flow.span * integ.dt
+            E, errs = flow.measure(runs, noise, n, t)
+            if not len(runs.ids):
                 break
-            if epoch == n_epochs:
+            settled = E <= stop.epsilon
+            any_settled = np.logical_or.reduce(settled)
+            if n % integ.record_stride == 0 or n == last:
+                runs.record(t, E, errs)
+            elif any_settled:
+                runs.record(t, E, errs, settled)
+            if any_settled:
+                runs.finish(settled, t)
+            if n == last or not len(runs.ids):
                 break
-            for i in range(n):
-                x, y_star = ds.inputs[i], ds.targets[i]
-                if noise is not None and step_count % noise.redraw_every == 0:
-                    x = noise.apply(x, rng)
-                u = law.rates(weights, x, y_star)
-                weights = _axpy(weights, integ.dt, u)
-                step_count += 1
-            last_norm = signal_norm(u)
-
-    work.weights = weights
-    return Trajectory(
-        t=np.array(ts), E=np.array(Es), errors=np.array(errs),
-        control_norm=np.array(norms), settled_at=settled_at,
-        epsilon=stop.epsilon, final_weights=weights,
-    )
+            flow.advance(runs, noise)
+    runs.finish(np.ones(len(runs.ids), dtype=bool), None)
+    return runs.results(stop.epsilon)
 
 
 def detect_settle(traj: Trajectory, stop: StoppingRule | None = None) -> float | None:

@@ -39,6 +39,13 @@ def sgnpow(v, p):
     return out if out.ndim else float(out)
 
 
+def _total(a):
+    """Sum of one error array; one per run for a stack (runs, samples, outputs)."""
+    if a.ndim == 3:
+        return np.add.reduce(a, axis=(1, 2))
+    return float(np.add.reduce(a, axis=None))
+
+
 @dataclass(frozen=True)
 class LyapunovLoss:
     """Exponent pair (alpha, beta) of the settling loss.
@@ -92,11 +99,12 @@ class LyapunovLoss:
             )
         return loss
 
-    def evaluate(self, e_bar) -> float:
-        """E = sum |e|^(alpha+1) / (alpha+1), summed over every entry given."""
+    def evaluate(self, e_bar):
+        """E = sum |e|^(alpha+1) / (alpha+1) over an error array (outputs,) or
+        (samples, outputs); one E per run for a stack (runs, samples, outputs)."""
         e = np.asarray(e_bar, dtype=float)
         p = self.alpha + 1.0
-        return float(np.add.reduce(np.abs(e) ** p, axis=None) / p)
+        return _total(np.abs(e) ** p) / p
 
     def error_grad(self, e_bar):
         """dE/de = sgnpow(e, alpha), elementwise."""
@@ -109,8 +117,9 @@ class L1Loss:
 
     name = "l1"
 
-    def evaluate(self, e_bar) -> float:
-        return float(np.add.reduce(np.abs(np.asarray(e_bar, dtype=float)), axis=None))
+    def evaluate(self, e_bar):
+        e = np.asarray(e_bar, dtype=float)
+        return _total(np.abs(e))
 
     def error_grad(self, e_bar):
         e = np.asarray(e_bar, dtype=float)
@@ -124,9 +133,9 @@ class L2Loss:
 
     name = "l2"
 
-    def evaluate(self, e_bar) -> float:
+    def evaluate(self, e_bar):
         e = np.asarray(e_bar, dtype=float)
-        return float(0.5 * np.add.reduce(e * e, axis=None))
+        return 0.5 * _total(e * e)
 
     def error_grad(self, e_bar):
         e = np.asarray(e_bar, dtype=float)

@@ -5,6 +5,11 @@ column multiplies a constant activation entry of exactly 1.0, so the bias
 behaves like one more input and the excitation assumption behind the
 settling-time certificates holds with gamma = 1 even for all-zero samples.
 
+A stack of R runs of one architecture keeps each layer as one
+(R, units_out, units_in + 1) array; ``forward``, ``sensitivities`` and
+``loss_gradient`` carry that run axis through, and each run's products go
+through its own BLAS call, so a run rounds exactly as it would alone.
+
 Pre-activations are clamped to +/-30 before any exponential is taken, both
 in the sigmoid and in the control laws that use its reciprocal slope.
 """
@@ -53,10 +58,13 @@ class Activation(enum.Enum):
 
     def derivative(self, a):
         """Slope with respect to the pre-activation; sigma*(1-sigma) in (0, 0.25]."""
+        return self.slope(self.apply(a))
+
+    def slope(self, s):
+        """The same slope, from the activation's output s = apply(a)."""
         if self is Activation.SIGMOID:
-            s = _sigmoid(np.asarray(a, dtype=float))
             return s * (1.0 - s)
-        return np.ones_like(np.asarray(a, dtype=float))
+        return np.ones_like(s)
 
 
 @dataclass
@@ -87,15 +95,15 @@ class Mlp:
 
     @property
     def layer_sizes(self) -> tuple:
-        return (self.weights[0].shape[1] - 1,) + tuple(w.shape[0] for w in self.weights)
+        return (self.n_inputs,) + tuple(w.shape[-2] for w in self.weights)
 
     @property
     def n_inputs(self) -> int:
-        return self.weights[0].shape[1] - 1
+        return self.weights[0].shape[-1] - 1
 
     @property
     def n_outputs(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
     @property
     def n_layers(self) -> int:
@@ -130,10 +138,11 @@ class Mlp:
 class ForwardTrace:
     """Everything the control laws need from one forward pass.
 
-    acts[l] is the activation vector of layer l with the bias entry 1.0
-    appended; acts[0] is the input itself.  preacts[l] is the raw affine
-    output feeding layer l+1's nonlinearity.  y is the network output
-    (no bias entry).
+    acts[l] is the activation vector feeding weight layer l, with the bias
+    entry 1.0 appended; acts[0] is the input itself.  preacts[l] is the raw
+    affine output of weight layer l, feeding its nonlinearity.  y is the
+    network output (no bias entry).  For a stack of runs each of these has
+    a leading run axis, except acts[0] when every run shares one input.
     """
 
     x: np.ndarray
@@ -143,29 +152,35 @@ class ForwardTrace:
 
 
 def _with_bias(v: np.ndarray) -> np.ndarray:
-    """v with the constant bias entry 1.0 appended."""
-    z = np.empty(len(v) + 1)
-    z[:-1] = v
-    z[-1] = 1.0
+    """v with the constant bias entry 1.0 appended along its last axis."""
+    z = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    z[..., :-1] = v
+    z[..., -1] = 1.0
     return z
 
 
 def forward(mlp: Mlp, x) -> ForwardTrace:
+    """One forward pass; x is one sample (n,) or one sample per run (R, n).
+
+    With stacked weights a single sample (n,) is shared by every run.
+    """
     x = np.asarray(x, dtype=float)
     n = mlp.n_inputs
-    if x.shape != (n,):
-        raise ShapeError(f"expected input of shape ({n},), got {x.shape}")
-    if not np.isfinite(x).all():
+    if x.shape[-1:] != (n,) or x.ndim > 2:
+        raise ShapeError(f"expected input of shape ({n},) or (runs, {n}), got {x.shape}")
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ShapeError("input contains non-finite entries")
 
-    z = _with_bias(x)
-    preacts, acts = [], [z]
+    acts, preacts, y = [], [], x
     for w, act in zip(mlp.weights, mlp.activations):
-        a = w @ z
-        preacts.append(a)
-        z = _with_bias(act.apply(a))
+        z = _with_bias(y)
         acts.append(z)
-    return ForwardTrace(x=x, preacts=preacts, acts=acts, y=z[:-1].copy())
+        # one matrix-vector BLAS call per run; per-run inputs need a trailing
+        # unit axis to pair each run's weights with its own input
+        a = w @ z if z.ndim == 1 else (w @ z[..., None])[..., 0]
+        preacts.append(a)
+        y = act.apply(a)
+    return ForwardTrace(x, preacts, acts, y)
 
 
 def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss) -> Deltas:
@@ -174,25 +189,32 @@ def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss) -> Deltas:
     Output layer: delta = act'(a) * dE/de evaluated at e = y - y_star.
     Hidden layer l: delta_l = act'(a_l) * (W_{l+1} without its bias column)^T
     applied to delta_{l+1}; the bias column never feeds back because the
-    constant entry is not a function of earlier layers.
+    constant entry is not a function of earlier layers.  Each slope act'(a)
+    comes from the activation the forward pass stored, not a second sigmoid.
     """
     y_star = np.asarray(y_star, dtype=float)
-    if y_star.shape != (mlp.n_outputs,):
+    if y_star.shape[-1:] != (mlp.n_outputs,):
         raise ShapeError(f"expected target of shape ({mlp.n_outputs},), got {y_star.shape}")
     e = trace.y - y_star
-    grad = np.atleast_1d(np.asarray(loss.error_grad(e), dtype=float))
+    grad = np.asarray(loss.error_grad(e), dtype=float)
     deltas = [None] * mlp.n_layers
-    deltas[-1] = mlp.activations[-1].derivative(trace.preacts[-1]) * grad
+    deltas[-1] = mlp.activations[-1].slope(trace.y) * grad
     for l in range(mlp.n_layers - 2, -1, -1):
-        back = mlp.weights[l + 1][:, :-1].T @ deltas[l + 1]
-        deltas[l] = mlp.activations[l].derivative(trace.preacts[l]) * back
+        w_t, d = np.swapaxes(mlp.weights[l + 1][..., :-1], -1, -2), deltas[l + 1]
+        back = w_t @ d if d.ndim == 1 else (w_t @ d[..., None])[..., 0]
+        deltas[l] = mlp.activations[l].slope(trace.acts[l + 1][..., :-1]) * back
     return deltas
 
 
 def loss_gradient(deltas: Deltas, trace: ForwardTrace) -> list:
-    """dE/dW per layer: outer(delta_l, activations feeding layer l)."""
-    if len(deltas) != len(trace.acts) - 1:
+    """dE/dW per layer: outer(delta_l, activations feeding layer l), per run."""
+    if len(deltas) != len(trace.acts):
         raise ShapeError(
-            f"{len(deltas)} delta vectors for {len(trace.acts) - 1} weight layers"
+            f"{len(deltas)} delta vectors for {len(trace.acts)} weight layers"
         )
-    return [np.outer(d, z) for d, z in zip(deltas, trace.acts[:-1])]
+    return [_outer(d, z) for d, z in zip(deltas, trace.acts)]
+
+
+def _outer(d, z):
+    """np.outer(d, z) for each run, with the same elementwise products."""
+    return d[..., :, None] * z[..., None, :]

@@ -9,23 +9,29 @@ Two envelope shapes for the componentwise offset bound B_i:
   certificate.
 
 Offsets are drawn uniformly from (-B_i, B_i), re-drawn every
-``redraw_every`` integration steps and held in between.
+``redraw_every`` integration steps and held in between (theory mode; epoch
+mode draws one per sample and needs ``redraw_every = 1``).
+
+A robustness sweep runs all its levels as one stacked integration.  The
+levels share one noise stream: each redraw takes one block of unit draws and
+scales it by every level's own envelope, which is bitwise the draw a lone
+level makes from a fresh generator with the same seed.  So the rows of a
+sweep are paired comparisons -- they differ only in M, never in luck.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import GammaEstimate, estimate_gamma, settling_bound
-from .dynamics import EpochFlow, TheoryFlow, dataset_loss, integrate
+from .bounds import GammaEstimate, estimate_gamma, refuse_frozen_bias, settling_bound
+from .dynamics import TheoryFlow, initial_loss, integrate_batch, select_law
 from .errors import GuaranteeError
 from .losses import LyapunovLoss
-from .net import forward
 
-__all__ = ["PerturbationSpec", "perturb_input", "robustness_run"]
+__all__ = ["PerturbationSpec", "perturb_input", "robustness_run", "robustness_sweep"]
 
 
 @dataclass(frozen=True)
@@ -70,32 +76,45 @@ def perturb_input(x, spec: PerturbationSpec, rng=None) -> np.ndarray:
 
 def robustness_run(mlp, mode, spec: PerturbationSpec, gains, loss, integ, stop,
                    gamma: GammaEstimate | None = None, law: str = "auto"):
-    """Integrate under input perturbations and certify if possible.
+    """(trajectory, bound) of one noisy run: the one-level robustness_sweep."""
+    return next(robustness_sweep(mlp, mode, [spec], gains, loss, integ, stop,
+                                 gamma=gamma, law=law))
 
-    Returns (trajectory, bound); bound is None when the certificate is
-    refused -- amplitude-mode noise, or a level M >= k_min.  E0 for the
-    certificate is the loss at the initial weights on the *unperturbed*
-    inputs.
+
+def robustness_sweep(mlp, mode, specs, gains, loss, integ, stop,
+                     gamma: GammaEstimate | None = None, law: str = "auto"):
+    """Integrate one flow under every level in `specs` at once; certify each.
+
+    The levels may differ only in M (else ValueError).  E0, the loss at the
+    initial weights on the *unperturbed* inputs, and gamma are computed once.
+    A bound is None when refused: amplitude noise, M >= k_min, or a gamma
+    the law cannot lean on.  Returns an iterator of (trajectory, bound) in
+    level order; a level whose run failed raises its error when reached, as
+    if the levels had run one after another.
     """
-    if isinstance(mode, TheoryFlow):
-        e0_errs = forward(mlp, mode.x).y - mode.y_star
-        E0 = loss.evaluate(e0_errs)
-        if gamma is None:
-            gamma = estimate_gamma(mode.x[None, :])
-    elif isinstance(mode, EpochFlow):
-        E0, _ = dataset_loss(mlp, mode.dataset, loss)
-        if gamma is None:
-            gamma = estimate_gamma(mode.dataset)
-    else:
-        raise TypeError(f"unknown train mode {type(mode).__name__}")
+    specs = list(specs)
+    if not specs or any(replace(s, M=specs[0].M) != specs[0] for s in specs[1:]):
+        raise ValueError("a sweep needs one or more levels that differ only in M")
+    E0 = initial_loss(mlp, mode, loss)
+    if gamma is None:
+        gamma = estimate_gamma(mode.x[None, :] if isinstance(mode, TheoryFlow) else mode.dataset)
+    bounds = [None] * len(specs)
+    if specs[0].mode == "vanishing" and isinstance(loss, LyapunovLoss) and E0 > 0:
+        law_kind = select_law(mlp, loss, law)
+        for i, spec in enumerate(specs):
+            try:
+                refuse_frozen_bias(gamma, law_kind)
+                bounds[i] = settling_bound(E0, gains, gamma, loss,
+                                           flavor="perturbed", M=spec.M)
+            except GuaranteeError:
+                pass
 
-    bound = None
-    if spec.mode == "vanishing" and isinstance(loss, LyapunovLoss) and E0 > 0:
-        try:
-            bound = settling_bound(E0, gains, gamma, loss, flavor="perturbed",
-                                   M=spec.M)
-        except GuaranteeError:
-            bound = None
+    runs = integrate_batch(mlp, mode, loss, gains, integ, stop, law=law, noises=specs)
+    return _in_level_order(runs, bounds)
 
-    traj = integrate(mlp, mode, loss, gains, integ, stop, law=law, noise=spec)
-    return traj, bound
+
+def _in_level_order(runs, bounds):
+    for run, bound in zip(runs, bounds):
+        if isinstance(run, Exception):
+            raise run
+        yield run, bound

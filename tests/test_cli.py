@@ -280,3 +280,80 @@ def test_compare_settling_loss_wins(tmp_path, capsys):
     cfg_l2 = _write(tmp_path, "loss.kind = l2\nmode.x = 1, 0.5\nmode.y_star = 0.1\n"
                     + "net.layers = 2, 1\n", name="l2.kv")
     assert main(["compare", "--config", cfg_l2, "--out", str(out)]) == 2
+
+
+def test_noisy_run_gets_no_certificate_from_a_bias_unit_gamma(tmp_path, capsys):
+    # the perturbed certificate read T = 0.0249 here, yet the run settles
+    # near t = 0.163: the single-neuron law freezes the bias weight
+    cfg = _write(
+        tmp_path,
+        "net.layers = 2, 1\n"
+        "net.init = zeros\n"
+        "loss.alpha = 0.7\n"
+        "gains.k = 1\n"
+        "integ.dt = 1e-4\n"
+        "integ.t_max = 0.25\n"
+        "integ.record_stride = 100\n"
+        "stop.epsilon = 1e-6\n"
+        "mode.x = 0.1, 0.05\n"
+        "mode.y_star = 0.48\n"
+        "bound.gamma_source = bias_unit\n"
+        "perturb.mode = vanishing\n"
+        "perturb.M = 0\n",
+    )
+    out = tmp_path / "out"
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 1
+    assert "refused" in capsys.readouterr().out
+    assert "bound = none (no certificate" in (out / "summary.kv").read_text()
+
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    kv = _summary(out)
+    assert kv["bound"].startswith("none (no certificate") and "bias" in kv["bound"]
+    assert "bound.T" not in kv
+    assert kv["settled"] == "true" and float(kv["settled_at"]) > 0.1
+
+
+def test_compare_takes_dt_from_the_certificate(tmp_path):
+    # without integ.dt, compare steps at T/1e5 like train does; at the old
+    # fallback of 1e-3 its Lyapunov row chattered and never settled
+    text = SINGLE_NEURON.replace("integ.dt = 1e-6\n", "").replace(
+        "integ.t_max = 0.02\n", "integ.t_max = 2e-4\n")
+    cfg = _write(tmp_path, text)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    T = float(_summary(tmp_path / "b")["bound.T"])
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    assert _summary(tmp_path / "c")["dt"] == repr(T / 1e5)
+    assert _summary(tmp_path / "t")["dt"] == repr(T / 1e5)
+
+
+def test_perturb_sweep_reports_the_lowest_diverging_level(tmp_path, capsys):
+    # levels 1 (M = 4) and 3 (M = 6) both diverge, level 3 first (t = 3.13);
+    # the sweep still fails with level 1's error after printing row 0 only,
+    # as a level-by-level sweep does, and writes no artifacts
+    cfg = _write(
+        tmp_path,
+        "net.layers = 1, 1\n"
+        "net.output_activation = identity\n"
+        "net.init = zeros\n"
+        "loss.kind = l2\n"
+        "gains.k = 50\n"
+        "integ.method = euler\n"
+        "integ.dt = 0.01\n"
+        "integ.t_max = 10\n"
+        "mode.x = 1.0\n"
+        "mode.y_star = 0.5\n"
+        "perturb.mode = amplitude\n"
+        "perturb.M = 0\n"
+        "sweep.m_values = 0, 4, 0.5, 6\n"
+        "run.seed = 4\n",
+    )
+    out = tmp_path / "out"
+    assert main(["perturb-sweep", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "         M certified      T_bound   settled_at      final_E\n"
+        "         0     False         none         0.01            0\n"
+    )
+    assert captured.err == "error: state diverged (NaN/Inf) at t=7.09\n"
+    assert list(out.iterdir()) == []

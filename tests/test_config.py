@@ -147,6 +147,35 @@ def test_perturb_and_positivity_cross_checks():
         config_from_text("mode.x = 1\nmode.y_star = 0.5\ngains.k = 0\n")
 
 
+def test_epoch_mode_rejects_held_noise(tmp_path, capsys):
+    # epoch mode draws a fresh offset for every sample: an offset held over
+    # the next samples would have to fit envelopes it was not drawn from
+    epoch = "mode.kind = epoch\ndata.source = blobs\nperturb.mode = vanishing\nperturb.M = 0.1\n"
+    with pytest.raises(ConfigError, match="redraw_every > 1 needs mode.kind = theory"):
+        config_from_text(epoch + "perturb.redraw_every = 2\n")
+    config_from_text(epoch + "perturb.redraw_every = 1\n")
+    config_from_text("mode.x = 1\nmode.y_star = 0.5\nperturb.redraw_every = 3\n")
+    with pytest.raises(ConfigError, match="redraw_every must be >= 1"):
+        config_from_text("mode.x = 1\nmode.y_star = 0.5\nperturb.redraw_every = 0\n")
+
+    path = tmp_path / "run.kv"
+    path.write_text("net.layers = 4, 1\ndata.per_class = 5\nsweep.m_values = 0.1\n"
+                    + epoch + "perturb.redraw_every = 4\n")
+    assert main(["perturb-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "redraw_every > 1" in capsys.readouterr().err
+
+
+def test_noise_levels_are_checked_when_read():
+    base = "mode.x = 1\nmode.y_star = 0.5\n"
+    for bad in ("sweep.m_values = 0.1, -0.2\n", "sweep.m_values = 0.1, nan\n",
+                "perturb.mode = amplitude\nperturb.M = inf\n"):
+        with pytest.raises(ConfigError, match="must be finite and >= 0"):
+            config_from_text(base + bad)
+    with pytest.raises(ConfigError, match="perturb.alpha"):
+        config_from_text(base + "perturb.alpha = 1.0\n")
+    config_from_text(base + "sweep.m_values = 0, 0.5, 2\nperturb.alpha = 0\n")
+
+
 def test_bool_spellings():
     for word, want in (("true", True), ("YES", True), ("on", True), ("1", True),
                        ("false", False), ("No", False), ("off", False), ("0", False)):

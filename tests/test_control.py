@@ -218,3 +218,42 @@ def test_signal_norm():
     sig = [np.array([[3.0]]), np.array([[4.0, 0.0]])]
     assert signal_norm(sig) == pytest.approx(5.0)
     assert signal_norm([np.zeros((2, 2))]) == 0.0
+
+
+def test_stacked_laws_are_bitwise_each_run_alone():
+    rng = np.random.default_rng(31)
+    per_weight = GainSchedule.per_weight([rng.uniform(0.5, 2.0, (1, 5))])
+    for gains in (GainSchedule.uniform(1.7), per_weight):
+        x = rng.normal(0.0, 1.0, (6, 4))
+        x[1, 2] = 0.0
+        e = rng.normal(0.0, 0.1, 6)
+        e[2] = 0.0
+        z = rng.normal(0.0, 20.0, 6)       # some beyond the +/-30 clamp
+        stacked = single_neuron_update(x, e, z, gains, rate_scale=0.8)[0]
+        assert stacked.shape == (6, 1, 5)
+        for r in range(6):
+            alone = single_neuron_update(x[r], float(e[r]), float(z[r]), gains,
+                                         rate_scale=0.8)[0]
+            assert stacked[r].tobytes() == alone.tobytes()
+
+    loss = LyapunovLoss.multilayer(0.7)
+    nets = [Mlp.random((3, 5, 2), seed=s) for s in range(4)]
+    xs = rng.uniform(-1.0, 1.0, (4, 3))
+    y_star = rng.uniform(0.1, 0.9, (4, 2))
+    stack = nets[0].copy()
+    stack.weights = [np.stack(ws) for ws in zip(*(n.weights for n in nets))]
+    trace = forward(stack, xs)
+    E = loss.evaluate((trace.y - y_star)[:, None, :])
+    deltas = sensitivities(stack, trace, y_star, loss)
+    gains = GainSchedule.uniform(1.3)
+    layered = mlp_update(deltas, trace, E, gains, loss)
+    flow = gradient_flow_update(loss_gradient(deltas, trace), gains)
+    for r, net in enumerate(nets):
+        alone = forward(net, xs[r])
+        E_r = loss.evaluate(alone.y - y_star[r])
+        assert E[r] == E_r
+        d_r = sensitivities(net, alone, y_star[r], loss)
+        for a, b in zip(layered, mlp_update(d_r, alone, E_r, gains, loss)):
+            assert a[r].tobytes() == b.tobytes()
+        for a, b in zip(flow, gradient_flow_update(loss_gradient(d_r, alone), gains)):
+            assert a[r].tobytes() == b.tobytes()

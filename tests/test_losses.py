@@ -122,3 +122,14 @@ def test_loss_from_name():
     assert isinstance(loss_from_name("l2"), L2Loss)
     with pytest.raises(ValueError):
         loss_from_name("huber")
+
+
+def test_evaluate_gives_one_value_per_run_of_a_stack():
+    rng = np.random.default_rng(8)
+    stack = rng.normal(0.0, 1.0, (6, 3, 2))       # (runs, samples, outputs)
+    for loss in (LyapunovLoss(alpha=0.7), L1Loss(), L2Loss()):
+        per_run = loss.evaluate(stack)
+        assert per_run.shape == (6,)
+        for r in range(6):
+            assert per_run[r] == loss.evaluate(stack[r])
+            assert isinstance(loss.evaluate(stack[r]), float)

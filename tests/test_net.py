@@ -198,3 +198,66 @@ def test_loss_gradient_length_check():
     trace = forward(mlp, np.zeros(2))
     with pytest.raises(ShapeError):
         loss_gradient([np.zeros(1)], trace)
+
+
+def _stack(nets):
+    """One Mlp holding the weights of every net in `nets`, layer by layer."""
+    stack = nets[0].copy()
+    stack.weights = [np.stack(ws) for ws in zip(*(n.weights for n in nets))]
+    return stack
+
+
+@pytest.mark.parametrize("sizes,out_act", [
+    ((4, 1), Activation.SIGMOID),
+    ((4, 8, 1), Activation.IDENTITY),
+    ((3, 6, 5, 2), Activation.SIGMOID),
+])
+def test_sensitivities_reuse_forward_activations_bitwise(sizes, out_act):
+    # each slope comes from the activation forward stored; it must equal
+    # the slope recomputed from the pre-activation bit for bit, saturated
+    # and clamped units included
+    for seed in range(6):
+        mlp = Mlp.random(sizes, seed=seed, output_activation=out_act, scale=4.0)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 10.0 ** (seed % 3), sizes[0])
+        y_star = rng.uniform(-1.0, 1.0, sizes[-1])
+        for loss in (LyapunovLoss(alpha=0.7), L2Loss()):
+            trace = forward(mlp, x)
+            grad = loss.error_grad(trace.y - y_star)
+            expected = [None] * mlp.n_layers
+            expected[-1] = mlp.activations[-1].derivative(trace.preacts[-1]) * grad
+            for l in range(mlp.n_layers - 2, -1, -1):
+                back = mlp.weights[l + 1][:, :-1].T @ expected[l + 1]
+                expected[l] = mlp.activations[l].derivative(trace.preacts[l]) * back
+            got = sensitivities(mlp, trace, y_star, loss)
+            assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
+
+
+@pytest.mark.parametrize("sizes,out_act", [
+    ((4, 1), Activation.SIGMOID),
+    ((4, 8, 1), Activation.IDENTITY),
+    ((3, 6, 5, 2), Activation.SIGMOID),
+])
+@pytest.mark.parametrize("shared_input", [False, True])
+def test_stacked_pass_is_bitwise_each_run_alone(sizes, out_act, shared_input):
+    rng = np.random.default_rng(len(sizes))
+    nets = [Mlp.random(sizes, seed=s, output_activation=out_act, scale=2.0)
+            for s in range(5)]
+    xs = rng.normal(0.0, 3.0, (5, sizes[0]))
+    if shared_input:
+        xs[:] = xs[0]
+    y_star = rng.uniform(-1.0, 1.0, (5, sizes[-1]))
+    stack = _stack(nets)
+    loss = LyapunovLoss(alpha=0.6)
+    trace = forward(stack, xs[0] if shared_input else xs)
+    grads = loss_gradient(sensitivities(stack, trace, y_star, loss), trace)
+    for r, net in enumerate(nets):
+        alone = forward(net, xs[r])
+        assert trace.y[r].tobytes() == alone.y.tobytes()
+        for a, b in zip(trace.preacts, alone.preacts):
+            assert a[r].tobytes() == b.tobytes()
+        for a, b in zip(trace.acts[1:], alone.acts[1:]):
+            assert a[r].tobytes() == b.tobytes()
+        alone_grads = loss_gradient(sensitivities(net, alone, y_star[r], loss), alone)
+        for g, h in zip(grads, alone_grads):
+            assert g[r].tobytes() == h.tobytes()

@@ -1,17 +1,31 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapflow import (
     Activation,
+    DivergenceError,
+    EpochFlow,
     GainSchedule,
+    GammaEstimate,
     Integrator,
+    L2Loss,
     LyapunovLoss,
     Mlp,
+    ModeError,
     PerturbationSpec,
+    ShapeError,
     StoppingRule,
     TheoryFlow,
+    forward,
+    integrate,
     perturb_input,
+    robustness_sweep,
 )
+from lyapflow.datasets import Dataset
 from lyapflow.perturb import robustness_run
 
 
@@ -152,3 +166,147 @@ def test_redraw_every_holds_offsets():
         assert abs(e[start] - e[start + 2]) < 1e-9
     jumps = [abs(e[3] - e[2]), abs(e[6] - e[5])]
     assert max(jumps) > 1e-6
+
+
+def test_noise_stream_is_numpy_uniform_per_level():
+    # a frozen unit (weights far above gain * dt) records sigma(w . x~) - y*
+    # for each step's perturbed input x~; those must be exactly the draws
+    # x + uniform(-b, b) of a generator seeded with the spec's seed
+    mlp = Mlp([np.array([[0.3, -0.2, 0.1, 0.05]])], (Activation.SIGMOID,))
+    mode = TheoryFlow(np.array([1.5, -0.4, 2.0]), np.array([0.3]))
+    integ = Integrator(method="euler", dt=1e-3, t_max=2e-2)
+    specs = [PerturbationSpec("vanishing", M, alpha=0.7, seed=11) for M in (0.0, 0.4, 1.2)]
+    specs.append(PerturbationSpec("amplitude", 0.3, seed=11))
+    for spec in specs:
+        traj, _ = robustness_run(mlp, mode, spec, GainSchedule.uniform(1e-300),
+                                 LyapunovLoss.single_neuron(0.7), integ, StoppingRule(1e-300))
+        rng = np.random.default_rng(11)
+        expected = [forward(mlp, mode.x + rng.uniform(-b, b)).y - mode.y_star
+                    for b in [spec.bound_for(mode.x)] * traj.n_records()]
+        assert traj.errors.tobytes() == np.array(expected).tobytes()
+
+
+def test_sweep_levels_may_differ_only_in_M():
+    mlp, mode, loss, gains, integ, stop = _noisy_problem()
+    base = PerturbationSpec(mode="vanishing", M=0.1, alpha=0.7, seed=3)
+    for other in (PerturbationSpec("vanishing", 0.2, alpha=0.5, seed=3),
+                  PerturbationSpec("vanishing", 0.2, alpha=0.7, seed=4),
+                  PerturbationSpec("vanishing", 0.2, alpha=0.7, seed=3, redraw_every=2),
+                  PerturbationSpec("amplitude", 0.2, seed=3)):
+        with pytest.raises(ValueError, match="differ only in M"):
+            robustness_sweep(mlp, mode, [base, other], gains, loss, integ, stop)
+    with pytest.raises(ValueError):
+        robustness_sweep(mlp, mode, [], gains, loss, integ, stop)
+
+
+def test_sweep_keeps_the_draw_range_check():
+    # an infinite range fails its own level, with numpy's error, and the
+    # level before it is still delivered first
+    mlp, mode, loss, gains, _, stop = _noisy_problem()
+    integ = Integrator(method="euler", dt=1e-6, t_max=1e-5)
+    specs = [PerturbationSpec("amplitude", M, seed=2) for M in (0.01, 1e308, 0.02)]
+    levels = robustness_sweep(mlp, mode, specs, gains, loss, integ, stop)
+    traj, _ = next(levels)
+    assert traj.n_records() == 11
+    with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+        next(levels)
+    with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+        robustness_run(mlp, mode, specs[1], gains, loss, integ, stop)
+
+
+def test_sweep_refuses_a_bias_unit_gamma_for_the_single_neuron_law():
+    # the single-neuron law freezes its bias weight, so the bias unit excites
+    # nothing; the layered law moves it and keeps its certificate
+    mode = TheoryFlow(np.array([0.1, 0.05]), np.array([0.48]))
+    integ = Integrator(method="euler", dt=1e-3, t_max=1e-2)
+    spec = PerturbationSpec("vanishing", 0.0, alpha=0.7, seed=0)
+    gamma = GammaEstimate(1.0, source="bias_unit")
+    _, bound = robustness_run(Mlp.zeros((2, 1)), mode, spec, GainSchedule.uniform(1.0),
+                              LyapunovLoss.single_neuron(0.7), integ, StoppingRule(),
+                              gamma=gamma)
+    assert bound is None
+    _, bound = robustness_run(Mlp.zeros((2, 1)), mode, spec, GainSchedule.uniform(1.0),
+                              LyapunovLoss.multilayer(0.7), integ, StoppingRule(),
+                              gamma=gamma, law="mlp")
+    assert bound is not None and bound.flavor == "perturbed"
+
+
+def test_epoch_mode_refuses_held_noise():
+    data = Dataset(np.array([[0.5, 1.0], [-1.0, 0.3]]), np.array([[0.2], [0.7]]))
+    spec = PerturbationSpec("vanishing", 0.1, alpha=0.7, redraw_every=2)
+    with pytest.raises(ModeError, match="redraw_every must be 1"):
+        integrate(Mlp.zeros((2, 1)), EpochFlow(data), LyapunovLoss.single_neuron(0.7),
+                  GainSchedule.uniform(1.0), Integrator(method="euler", dt=1e-3, t_max=0.01),
+                  StoppingRule(), noise=spec)
+
+
+def _property_problem(law: str, flow: str, rng):
+    """(mlp, mode, loss, integ, stop) for one law in one flow, all small."""
+    n = 3
+    if law == "single_neuron":
+        mlp = Mlp.random((n, 1), seed=int(rng.integers(1000)), scale=0.5)
+        loss, m, dt = LyapunovLoss.single_neuron(0.7), 1, 2e-3
+        targets = rng.uniform(0.2, 0.8, (6, m))
+    elif law == "mlp":
+        mlp = Mlp.random((n, 4, 1), seed=int(rng.integers(1000)),
+                         output_activation=Activation.IDENTITY)
+        loss, m, dt = LyapunovLoss.multilayer(0.7), 1, 1e-2
+        targets = rng.uniform(-1.0, 1.0, (6, m))
+    else:
+        mlp = Mlp.random((n, 4, 2), seed=int(rng.integers(1000)))
+        loss, m, dt = L2Loss(), 2, 5e-2
+        targets = rng.uniform(0.1, 0.9, (6, m))
+    inputs = rng.uniform(0.2, 2.0, (6, n)) * rng.choice((-1.0, 1.0), (6, n))
+    stop = StoppingRule(float(rng.choice((1e-3, 1e-4))))
+    if flow == "epoch":
+        mode = EpochFlow(Dataset(inputs, targets))
+        return mlp, mode, loss, Integrator(method="euler", dt=dt, t_max=6 * dt * 25), stop
+    mode = TheoryFlow(inputs[0], targets[0])
+    method = "rk4" if flow == "rk4" else "euler"
+    return mlp, mode, loss, Integrator(method=method, dt=dt, t_max=dt * 120), stop
+
+
+def _same_trajectory(a, b) -> bool:
+    return (a.t.tobytes() == b.t.tobytes() and a.E.tobytes() == b.E.tobytes()
+            and a.errors.tobytes() == b.errors.tobytes()
+            and a.control_norm.tobytes() == b.control_norm.tobytes()
+            and a.settled_at == b.settled_at
+            and [w.tobytes() for w in a.final_weights]
+            == [w.tobytes() for w in b.final_weights])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    law=st.sampled_from(["single_neuron", "mlp", "baseline"]),
+    flow=st.sampled_from(["rk4", "euler", "epoch"]),
+    envelope=st.sampled_from(["vanishing", "amplitude"]),
+    levels=st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.9, 1.0, 1.5, 4.0]),
+                    min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    redraw_every=st.integers(1, 3),
+)
+def test_a_level_in_a_batch_is_bitwise_the_level_alone(law, flow, envelope, levels,
+                                                        seed, redraw_every):
+    rng = np.random.default_rng(seed)
+    mlp, mode, loss, integ, stop = _property_problem(law, flow, rng)
+    gains = GainSchedule.uniform(1.0)        # levels >= 1.0 reach k_min
+    specs = [PerturbationSpec(envelope, M, alpha=0.7 if envelope == "vanishing" else None,
+                              seed=seed, redraw_every=1 if flow == "epoch" else redraw_every)
+             for M in levels]
+    alone = []
+    for spec in specs:
+        try:
+            alone.append(robustness_run(mlp, mode, spec, gains, loss, integ, stop))
+        except (DivergenceError, ShapeError, OverflowError) as exc:
+            alone.append(exc)
+    swept = robustness_sweep(mlp, mode, specs, gains, loss, integ, stop)
+    for expected in alone:
+        if isinstance(expected, Exception):
+            # the first failing level stops the sweep exactly where a
+            # level-by-level sweep would have stopped
+            with pytest.raises(type(expected), match=re.escape(str(expected))):
+                next(swept)
+            return
+        traj, bound = next(swept)
+        assert _same_trajectory(traj, expected[0])
+        assert bound == expected[1]
