@@ -41,11 +41,6 @@ def parse_kv(text: str, source: str = "<config>") -> dict:
     return out
 
 
-def _float(s: str) -> float:
-    v = float(s)
-    return v
-
-
 def _int(s: str) -> int:
     return int(s, 10)
 
@@ -59,25 +54,15 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _floats(s: str) -> tuple:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+def _list(item):
+    """Parser of a comma-separated list of `item` values."""
+    def parse(s: str) -> tuple:
+        parts = [p.strip() for p in s.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(item(p) for p in parts)
 
-
-def _ints(s: str) -> tuple:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(p, 10) for p in parts)
-
-
-def _names(s: str) -> tuple:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(parts)
+    return parse
 
 
 def _choice(*allowed):
@@ -158,45 +143,45 @@ class ExperimentConfig:
 
 # key -> (attribute, parser)
 _KEYS = {
-    "net.layers": ("layers", _ints),
+    "net.layers": ("layers", _list(_int)),
     "net.output_activation": ("output_activation", _choice("sigmoid", "identity")),
     "net.init": ("init", _choice("random", "zeros")),
-    "net.scale": ("init_scale", _float),
+    "net.scale": ("init_scale", float),
     "loss.kind": ("loss_kind", _choice("lyapunov", "l1", "l2")),
-    "loss.alpha": ("alpha", _float),
-    "loss.beta": ("beta", _float),
+    "loss.alpha": ("alpha", float),
+    "loss.beta": ("beta", float),
     "loss.law": ("law", _choice("auto", "single_neuron", "mlp", "baseline")),
-    "gains.k": ("k", _float),
+    "gains.k": ("k", float),
     "integ.method": ("method", _choice("rk4", "euler")),
-    "integ.dt": ("dt", _float),
-    "integ.t_max": ("t_max", _float),
+    "integ.dt": ("dt", float),
+    "integ.t_max": ("t_max", float),
     "integ.record_stride": ("record_stride", _int),
     "integ.step_budget": ("step_budget", _int),
-    "stop.epsilon": ("epsilon", _float),
+    "stop.epsilon": ("epsilon", float),
     "mode.kind": ("mode", _choice("theory", "epoch")),
-    "mode.x": ("x", _floats),
-    "mode.y_star": ("y_star", _floats),
+    "mode.x": ("x", _list(float)),
+    "mode.y_star": ("y_star", _list(float)),
     "mode.sample": ("sample_index", _int),
     "data.source": ("data_source", _choice("none", "blobs", "linreg", "csv")),
     "data.per_class": ("per_class", _int),
-    "data.separation": ("separation", _float),
+    "data.separation": ("separation", float),
     "data.count": ("count", _int),
-    "data.noise_sd": ("noise_sd", _float),
+    "data.noise_sd": ("noise_sd", float),
     "data.path": ("csv_path", str),
-    "data.features": ("feature_cols", _names),
-    "data.targets": ("target_cols", _names),
+    "data.features": ("feature_cols", _list(str)),
+    "data.targets": ("target_cols", _list(str)),
     "data.normalize": ("normalize", _bool),
     "perturb.mode": ("perturb_mode", _choice("vanishing", "amplitude")),
-    "perturb.M": ("perturb_m", _float),
-    "perturb.alpha": ("perturb_alpha", _float),
+    "perturb.M": ("perturb_m", float),
+    "perturb.alpha": ("perturb_alpha", float),
     "perturb.redraw_every": ("redraw_every", _int),
     "bound.flavor": ("flavor", _choice("single_neuron", "mlp", "perturbed")),
-    "bound.gamma": ("gamma", _float),
+    "bound.gamma": ("gamma", float),
     "bound.gamma_source": ("gamma_source", _choice("data_min", "bias_unit")),
     "run.seed": ("seed", _int),
     "run.out": ("out_dir", str),
-    "sweep.alphas": ("alphas", _floats),
-    "sweep.m_values": ("m_values", _floats),
+    "sweep.alphas": ("alphas", _list(float)),
+    "sweep.m_values": ("m_values", _list(float)),
 }
 
 
@@ -262,8 +247,9 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
     levels = cfg.m_values + ((cfg.perturb_m,) if cfg.perturb_m is not None else ())
     if any(not 0.0 <= m < math.inf for m in levels):
         probs.append(f"{source}: perturb.M and sweep.m_values must be finite and >= 0")
-    if cfg.perturb_alpha is not None and not 0.0 <= cfg.perturb_alpha < 1.0:
-        probs.append(f"{source}: perturb.alpha must lie in [0, 1)")
+    alpha = cfg.perturb_alpha  # amplitude noise ignores it
+    if cfg.perturb_mode != "amplitude" and alpha is not None and not 0.0 <= alpha < 1.0:
+        probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
     if cfg.redraw_every < 1:
         probs.append(f"{source}: perturb.redraw_every must be >= 1")
     elif cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample

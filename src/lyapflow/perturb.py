@@ -60,10 +60,22 @@ class PerturbationSpec:
             return self.M * np.abs(x) ** self.alpha
         return np.full_like(x, self.M)
 
+    def perturbed(self, x, u, scale=1.0) -> tuple:
+        """(x + offsets, range B - -B) from unit draws u: bitwise what
+        x + rng.uniform(-B, B) gives from the same draws.  B is the envelope
+        times `scale`, one row per level for a stack of levels.  The caller
+        refuses a range that is not finite, as rng.uniform does."""
+        b = scale * self.bound_for(x)
+        lo = -b
+        span = b - lo
+        return x + (lo + span * u), span
+
     def apply(self, x, rng) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        b = self.bound_for(x)
-        return x + rng.uniform(-b, b)
+        x_new, span = self.perturbed(x, rng.random(x.shape))
+        if not np.isfinite(span).all():
+            raise OverflowError("Range exceeds valid bounds")
+        return x_new
 
 
 def perturb_input(x, spec: PerturbationSpec, rng=None) -> np.ndarray:

@@ -174,6 +174,8 @@ def test_noise_levels_are_checked_when_read():
     with pytest.raises(ConfigError, match="perturb.alpha"):
         config_from_text(base + "perturb.alpha = 1.0\n")
     config_from_text(base + "sweep.m_values = 0, 0.5, 2\nperturb.alpha = 0\n")
+    # amplitude noise has no alpha to check
+    config_from_text(base + "perturb.mode = amplitude\nperturb.M = 0.2\nperturb.alpha = 1.2\n")
 
 
 def test_bool_spellings():

@@ -96,6 +96,21 @@ def test_perturb_input_seed_semantics():
     assert not np.array_equal(first, second)
 
 
+def test_apply_is_bitwise_numpy_uniform():
+    # apply and the stacked integrator share one draw; it must equal
+    # x + rng.uniform(-b, b) bit for bit and keep numpy's range check
+    x = np.random.default_rng(5).normal(size=(6, 3)) * np.array([1.0, 1e-3, 40.0])
+    for spec in (PerturbationSpec("vanishing", 0.7, alpha=0.3, seed=4),
+                 PerturbationSpec("vanishing", 2.5, alpha=0.0, seed=4),
+                 PerturbationSpec("amplitude", 0.2, seed=4)):
+        for xi in (x, x[0]):
+            want = xi + np.random.default_rng(4).uniform(-spec.bound_for(xi), spec.bound_for(xi))
+            assert spec.apply(xi, np.random.default_rng(4)).tobytes() == want.tobytes()
+    # numpy's own uniform warns of the overflow in b - -b before it refuses
+    with np.errstate(over="ignore"), pytest.raises(OverflowError, match="Range exceeds"):
+        PerturbationSpec("amplitude", 1e308).apply(x, np.random.default_rng(0))
+
+
 def _noisy_problem():
     # dt keeps the per-step error travel well inside the stopping band, so
     # the sign-law chatter floor sits below epsilon and the settle is caught
