@@ -30,8 +30,6 @@ from .datasets import (
     gen_linreg,
     load_csv,
     normalize,
-    save_csv,
-    split,
 )
 from .dynamics import (
     EpochFlow,
@@ -40,7 +38,6 @@ from .dynamics import (
     TheoryFlow,
     Trajectory,
     dataset_loss,
-    detect_settle,
     integrate,
 )
 from .errors import (
@@ -54,9 +51,9 @@ from .errors import (
     ModeError,
     ShapeError,
 )
-from .losses import L1Loss, L2Loss, Loss, LyapunovLoss, loss_from_name, sgnpow
+from .losses import L1Loss, L2Loss, Loss, LyapunovLoss, sgnpow
 from .net import Activation, ForwardTrace, Mlp, forward, loss_gradient, sensitivities
-from .perturb import PerturbationSpec, perturb_input, robustness_run, robustness_sweep
+from .perturb import PerturbationSpec, robustness_run, robustness_sweep
 
 __version__ = "0.1.0"
 
@@ -90,7 +87,6 @@ __all__ = [
     "TheoryFlow",
     "Trajectory",
     "dataset_loss",
-    "detect_settle",
     "estimate_gamma",
     "forward",
     "gen_blobs",
@@ -98,21 +94,17 @@ __all__ = [
     "gradient_flow_update",
     "integrate",
     "load_csv",
-    "loss_from_name",
     "loss_gradient",
     "lyapunov_rate_scale",
     "mlp_update",
     "normalize",
-    "perturb_input",
     "robustness_run",
     "robustness_sweep",
-    "save_csv",
     "sensitivities",
     "settling_bound",
     "sgnpow",
     "signal_norm",
     "single_neuron_update",
-    "split",
     "verify_decrease",
     "__version__",
 ]

@@ -13,10 +13,12 @@ flavors only differ in the constant c:
     perturbed       c = (k_min - M) * gamma      (needs k_min > M)
 
 gamma is the excitation level: some input entry of every sample exceeds it.
-With the embedded bias unit, gamma = 1 works for the layered law, which
-moves the bias weights.  The single-neuron law freezes its bias weight, so
-every certificate for it -- the perturbed flavor too -- refuses a bias_unit
-gamma (``refuse_frozen_bias``).
+It is the user's value or the data minimum, never the constant bias entry:
+the single-neuron law freezes its bias weight, and a 2-3-1 layered run
+overshot its gamma = 1 certificate 17-fold.
+
+``certify`` is the one certificate policy: it decides whether a run gets a
+certificate and of which flavor, from the run's law and its noise.
 """
 
 from __future__ import annotations
@@ -27,15 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import GainSchedule
-from .errors import AssumptionError, GuaranteeError
+from .errors import AssumptionError, GuaranteeError, LyapflowError
 from .losses import LyapunovLoss
 
 __all__ = [
     "GammaEstimate",
     "SettlingBound",
     "DecreaseReport",
+    "certify",
     "estimate_gamma",
-    "refuse_frozen_bias",
     "settling_bound",
     "verify_decrease",
 ]
@@ -45,39 +47,25 @@ FLAVORS = ("single_neuron", "mlp", "perturbed")
 
 @dataclass(frozen=True)
 class GammaEstimate:
-    """Excitation level gamma plus where it came from.
-
-    input_bound_a is the matching upper bound max|x_i| over the data, kept
-    alongside because admissible perturbation sizes are stated in terms of it.
-    """
+    """Excitation level gamma plus where it came from."""
 
     gamma: float
     source: str = "user"
-    input_bound_a: float | None = None
 
     def __post_init__(self):
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
-def estimate_gamma(inputs, source: str = "data_min") -> GammaEstimate:
+def estimate_gamma(inputs) -> GammaEstimate:
     """Estimate gamma from sample inputs (2-d array or Dataset).
 
-    'data_min': gamma = min over samples of max_i |x_i| -- the largest level
+    gamma = min over samples of max_i |x_i| ('data_min') -- the largest level
     that every sample is guaranteed to excite.  Fails on an all-zero sample.
-    'bias_unit': gamma = 1, valid whenever the network carries the embedded
-    constant-1 bias entry and the law moves its weight, regardless of the
-    data.  The single-neuron law does not, so ``refuse_frozen_bias``
-    refuses this source for it.
     """
     x = np.asarray(getattr(inputs, "inputs", inputs), dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    a = float(np.max(np.abs(x))) if x.size else 0.0
-    if source == "bias_unit":
-        return GammaEstimate(1.0, source="bias_unit", input_bound_a=max(a, 1.0))
-    if source != "data_min":
-        raise ValueError(f"unknown gamma source {source!r}")
     per_sample = np.max(np.abs(x), axis=1)
     worst = float(per_sample.min())
     if worst <= 0.0:
@@ -85,7 +73,7 @@ def estimate_gamma(inputs, source: str = "data_min") -> GammaEstimate:
         raise AssumptionError(
             f"sample {bad} is all zeros; excitation assumption fails without a bias unit"
         )
-    return GammaEstimate(worst, source="data_min", input_bound_a=a)
+    return GammaEstimate(worst, source="data_min")
 
 
 @dataclass(frozen=True)
@@ -120,16 +108,6 @@ class SettlingBound:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
 
 
-def refuse_frozen_bias(gamma: GammaEstimate, law: str) -> None:
-    """Refuse a bias_unit gamma for the single-neuron law under any flavor:
-    the law freezes its bias weight, so the bias unit excites nothing."""
-    if law == "single_neuron" and gamma.source == "bias_unit":
-        raise GuaranteeError(
-            "no certificate: the single-neuron law freezes the bias weight, so the "
-            "bias unit gives no excitation; use gamma_source = data_min or set gamma"
-        )
-
-
 def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
                    loss: LyapunovLoss, flavor: str = "single_neuron",
                    M: float | None = None) -> SettlingBound:
@@ -138,8 +116,6 @@ def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     if not (E0 > 0 and math.isfinite(E0)):
         raise ValueError(f"E0 must be finite and > 0, got {E0}")
-    if flavor == "single_neuron":
-        refuse_frozen_bias(gamma, "single_neuron")
     alpha = loss.alpha
     beta = alpha / (alpha + 1.0) if flavor == "single_neuron" else loss.beta
     if not 0.0 < beta < 1.0:
@@ -161,6 +137,31 @@ def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
     T = E0 ** (1.0 - beta) / (c * (1.0 - beta))
     return SettlingBound(T=T, E0=E0, c=c, beta=beta, gamma=gamma.gamma,
                          k_min=k_min, flavor=flavor, M=M)
+
+
+def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
+            noise=None) -> tuple:
+    """(certificate, None) for a run of the resolved `law` under the input
+    `noise` spec (or none), else (None, why it gets none).
+
+    The flavor is 'perturbed' under vanishing noise, else the law.  Refused:
+    a loss other than the Lyapunov loss, E0 <= 0, amplitude noise, M >= k_min
+    and whatever else ``settling_bound`` rejects.  `gamma` is a
+    GammaEstimate or the error that stopped its estimate.
+    """
+    if not isinstance(loss, LyapunovLoss):
+        return None, f"no certificate for {loss.name} loss"
+    if E0 <= 0:
+        return None, "already settled at t = 0"
+    if noise is not None and noise.mode == "amplitude":
+        return None, "amplitude-mode noise carries no certificate"
+    if isinstance(gamma, Exception):
+        return None, str(gamma)
+    flavor, M = (law, None) if noise is None else ("perturbed", noise.M)
+    try:
+        return settling_bound(E0, gains, gamma, loss, flavor=flavor, M=M), None
+    except (LyapflowError, ValueError) as exc:
+        return None, str(exc)
 
 
 @dataclass

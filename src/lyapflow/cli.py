@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets as ds_mod
-from .bounds import GammaEstimate, estimate_gamma, refuse_frozen_bias, settling_bound
+from .bounds import GammaEstimate, certify, estimate_gamma
 from .config import ExperimentConfig, load_config
 from .control import GainSchedule
 from .dynamics import (
@@ -36,10 +37,12 @@ from .dynamics import (
     TheoryFlow,
     initial_loss,
     integrate,
+    select_law,
 )
-from .errors import ConfigError, GuaranteeError, LyapflowError
+from .errors import AssumptionError, ConfigError, LyapflowError
 from .losses import L1Loss, L2Loss, LyapunovLoss
 from .net import Activation, Mlp, forward, loss_gradient, sensitivities
+from .perturb import PerturbationSpec, robustness_sweep
 from .svgplot import write_dat, write_svg
 
 __all__ = ["main"]
@@ -74,16 +77,6 @@ def _build_net(cfg: ExperimentConfig) -> Mlp:
                       scale=cfg.init_scale)
 
 
-def _resolve_law(cfg: ExperimentConfig, mlp: Mlp) -> str:
-    if cfg.loss_kind != "lyapunov":
-        return "baseline"
-    if cfg.law != "auto":
-        return cfg.law
-    is_single = (mlp.n_layers == 1 and mlp.n_outputs == 1
-                 and mlp.activations[-1] is Activation.SIGMOID)
-    return "single_neuron" if is_single else "mlp"
-
-
 def _build_loss(cfg: ExperimentConfig, law_kind: str, unsafe: bool,
                 alpha: float | None = None):
     a = cfg.alpha if alpha is None else alpha
@@ -108,40 +101,6 @@ def _build_mode(cfg: ExperimentConfig, dataset):
     return TheoryFlow(np.array(cfg.x), np.array(cfg.y_star))
 
 
-def _setup(cfg: ExperimentConfig, args) -> tuple:
-    """(net, resolved law, loss, mode), built in this order by most commands."""
-    dataset = _build_dataset(cfg)
-    mlp = _build_net(cfg)
-    law_kind = _resolve_law(cfg, mlp)
-    return mlp, law_kind, _build_loss(cfg, law_kind, args.unsafe_alpha), _build_mode(cfg, dataset)
-
-
-def _gamma_for(cfg: ExperimentConfig, mode) -> GammaEstimate:
-    if cfg.gamma is not None:
-        return GammaEstimate(cfg.gamma, source="user")
-    inputs = mode.x[None, :] if isinstance(mode, TheoryFlow) else mode.dataset
-    return estimate_gamma(inputs, source=cfg.gamma_source)
-
-
-def _maybe_bound(cfg, mode, loss, gains, E0, law_kind, spec=None):
-    """Settling certificate for a run of `law_kind`, or (None, reason)."""
-    if not isinstance(loss, LyapunovLoss):
-        return None, f"no certificate for {loss.name} loss"
-    if E0 <= 0:
-        return None, "already settled at t = 0"
-    if spec is not None and spec.mode == "amplitude":
-        return None, "amplitude-mode noise carries no certificate"
-    flavor = cfg.flavor or ("perturbed" if spec is not None else law_kind)
-    try:
-        gamma = _gamma_for(cfg, mode)
-        refuse_frozen_bias(gamma, law_kind)
-        M = spec.M if (flavor == "perturbed" and spec is not None) else None
-        bound = settling_bound(E0, gains, gamma, loss, flavor=flavor, M=M)
-    except (GuaranteeError, LyapflowError, ValueError) as exc:
-        return None, str(exc)
-    return bound, None
-
-
 def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:
     dt = cfg.dt
     if dt is None:
@@ -154,8 +113,6 @@ def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:
 
 
 def _build_spec(cfg: ExperimentConfig, loss, m_override=None):
-    from .perturb import PerturbationSpec
-
     if cfg.perturb_mode is None and m_override is None:
         return None
     mode = cfg.perturb_mode or "vanishing"
@@ -164,6 +121,42 @@ def _build_spec(cfg: ExperimentConfig, loss, m_override=None):
         alpha = getattr(loss, "alpha", 0.7)
     M = cfg.perturb_m if m_override is None else m_override
     return PerturbationSpec(mode, M, alpha, cfg.seed, cfg.redraw_every)
+
+
+@dataclass
+class Problem:
+    """What a command runs, decided once from the config by ``resolve``."""
+
+    mlp: Mlp
+    law: str            # single_neuron | mlp | baseline
+    loss: object
+    mode: object        # TheoryFlow | EpochFlow
+    gains: GainSchedule
+    stop: StoppingRule
+    noise: object       # PerturbationSpec | None
+    gamma: object       # GammaEstimate, or the error that stopped its estimate
+    E0: float           # loss at the initial weights on the clean inputs
+
+    def certificate(self, noise) -> tuple:
+        """(bound, None) or (None, reason) for a run under `noise` (or none)."""
+        return certify(self.E0, self.gains, self.gamma, self.loss, self.law, noise)
+
+
+def resolve(cfg: ExperimentConfig, args) -> Problem:
+    """The one place that decides a run's law, certificate inputs and noise."""
+    dataset = _build_dataset(cfg)
+    mlp = _build_net(cfg)
+    law = select_law(mlp, cfg.loss_kind == "lyapunov", cfg.law)
+    loss = _build_loss(cfg, law, args.unsafe_alpha)
+    mode = _build_mode(cfg, dataset)
+    try:
+        gamma = (GammaEstimate(cfg.gamma) if cfg.gamma is not None
+                 else estimate_gamma(dataset if isinstance(mode, EpochFlow) else mode.x))
+    except (AssumptionError, ValueError) as exc:
+        gamma = exc
+    return Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
+                   StoppingRule(cfg.epsilon), _build_spec(cfg, loss), gamma,
+                   initial_loss(mlp, mode, loss))
 
 
 # ---------------------------------------------------------------- output
@@ -203,29 +196,25 @@ def _plot_series(out: Path, series, title: str) -> None:
 
 
 def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
-    mlp, law_kind, loss, mode = _setup(cfg, args)
-    gains = GainSchedule.uniform(cfg.k)
-    spec = _build_spec(cfg, loss)
-
-    E0 = initial_loss(mlp, mode, loss)
-    bound, refusal = _maybe_bound(cfg, mode, loss, gains, E0, law_kind, spec)
+    prob = resolve(cfg, args)
+    loss, spec = prob.loss, prob.noise
+    bound, refusal = prob.certificate(spec)
     integ = _build_integrator(cfg, bound)
-    stop = StoppingRule(cfg.epsilon)
 
-    traj = integrate(mlp, mode, loss, gains, integ, stop, law=cfg.law,
-                     noise=spec)
+    traj = integrate(prob.mlp, prob.mode, loss, prob.gains, integ, prob.stop,
+                     law=prob.law, noise=spec)
 
     traj.to_csv(out / "trajectory.csv")
     lines = [
         "command = train",
         f"seed = {cfg.seed}",
         f"loss = {loss.name}",
-        f"law = {law_kind}",
+        f"law = {prob.law}",
         f"mode = {cfg.mode}",
         f"method = {integ.method}",
         f"dt = {_num(integ.dt)}",
-        f"epsilon = {_num(stop.epsilon)}",
-        f"E0 = {_num(E0)}",
+        f"epsilon = {_num(prob.stop.epsilon)}",
+        f"E0 = {_num(prob.E0)}",
     ]
     if isinstance(loss, LyapunovLoss):
         lines += [f"alpha = {_num(loss.alpha)}", f"beta = {_num(loss.beta)}"]
@@ -253,20 +242,17 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
-    mlp, lyap_kind, lyap, mode = _setup(cfg, args)
-    if lyap_kind == "baseline":
+    prob = resolve(cfg, args)
+    if prob.law == "baseline":
         raise ConfigError(["compare needs loss.kind = lyapunov as the reference"])
-    gains = GainSchedule.uniform(cfg.k)
-    stop = StoppingRule(cfg.epsilon)
-    # the time step comes from the Lyapunov row's certificate, as in train
-    bound, _ = _maybe_bound(cfg, mode, lyap, gains, initial_loss(mlp, mode, lyap),
-                            lyap_kind)
-    integ = _build_integrator(cfg, bound)
+    # the time step comes from the noise-free Lyapunov row's certificate
+    integ = _build_integrator(cfg, prob.certificate(None)[0])
 
     runs = []
-    for loss in (lyap, L1Loss(), L2Loss()):
-        law = cfg.law if isinstance(loss, LyapunovLoss) else "auto"
-        traj = integrate(mlp, mode, loss, gains, integ, stop, law=law)
+    for loss in (prob.loss, L1Loss(), L2Loss()):
+        law = prob.law if loss is prob.loss else "baseline"
+        traj = integrate(prob.mlp, prob.mode, loss, prob.gains, integ, prob.stop,
+                         law=law)
         runs.append((loss.name, traj))
 
     lines = [
@@ -274,9 +260,9 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
         f"seed = {cfg.seed}",
         f"mode = {cfg.mode}",
         f"dt = {_num(integ.dt)}",
-        f"epsilon = {_num(stop.epsilon)}",
-        f"alpha = {_num(lyap.alpha)}",
-        f"beta = {_num(lyap.beta)}",
+        f"epsilon = {_num(prob.stop.epsilon)}",
+        f"alpha = {_num(prob.loss.alpha)}",
+        f"beta = {_num(prob.loss.beta)}",
     ]
     for name, traj in runs:
         lines += _traj_lines(f"{name}.", traj)
@@ -302,13 +288,9 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
-    mlp, law_kind, loss, mode = _setup(cfg, args)
-    gains = GainSchedule.uniform(cfg.k)
-    spec = _build_spec(cfg, loss)
-
-    E0 = initial_loss(mlp, mode, loss)
-    lines = ["command = bound", f"seed = {cfg.seed}", f"E0 = {_num(E0)}"]
-    bound, refusal = _maybe_bound(cfg, mode, loss, gains, E0, law_kind, spec)
+    prob = resolve(cfg, args)
+    lines = ["command = bound", f"seed = {cfg.seed}", f"E0 = {_num(prob.E0)}"]
+    bound, refusal = prob.certificate(prob.noise)
     if bound is None:
         lines.append(f"bound = none ({refusal})")
         _write_kv(out / "summary.kv", lines)
@@ -329,14 +311,10 @@ def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
 def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     if not cfg.m_values:
         raise ConfigError(["perturb-sweep needs sweep.m_values"])
-    from .perturb import robustness_sweep
-
-    mlp, law_kind, loss, mode = _setup(cfg, args)
-    gains = GainSchedule.uniform(cfg.k)
+    prob = resolve(cfg, args)
+    gains = prob.gains
     integ = _build_integrator(cfg, None)
-    stop = StoppingRule(cfg.epsilon)
-    gamma = GammaEstimate(cfg.gamma, source="user") if cfg.gamma is not None else None
-    specs = [_build_spec(cfg, loss, m_override=m) for m in cfg.m_values]
+    specs = [_build_spec(cfg, prob.loss, m_override=m) for m in cfg.m_values]
 
     lines = [
         "command = perturb-sweep",
@@ -346,8 +324,8 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     ]
     series = []
     print(f"{'M':>10s} {'certified':>9s} {'T_bound':>12s} {'settled_at':>12s} {'final_E':>12s}")
-    levels = robustness_sweep(mlp, mode, specs, gains, loss, integ, stop,
-                              gamma=gamma, law=cfg.law)
+    levels = robustness_sweep(prob.mlp, prob.mode, specs, gains, prob.loss, integ,
+                              prob.stop, gamma=prob.gamma, law=prob.law)
     for i, (spec, (traj, bnd)) in enumerate(zip(specs, levels)):
         m = spec.M
         certified = bnd is not None
@@ -378,23 +356,19 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
         raise ConfigError(
             ["sweep.alphas includes 0; pass --unsafe-alpha to run the chatter demo"]
         )
-    dataset = _build_dataset(cfg)
-    mlp = _build_net(cfg)
-    law_kind = _resolve_law(cfg, mlp)
-    if law_kind == "baseline":
+    prob = resolve(cfg, args)
+    if prob.law == "baseline":
         raise ConfigError(["alpha-sweep needs loss.kind = lyapunov"])
-    gains = GainSchedule.uniform(cfg.k)
-    mode = _build_mode(cfg, dataset)
     integ = _build_integrator(cfg, None)
-    stop = StoppingRule(cfg.epsilon)
 
     lines = ["command = alpha-sweep", f"seed = {cfg.seed}",
              f"levels = {len(cfg.alphas)}"]
     series = []
     print(f"{'alpha':>7s} {'violations':>10s} {'settled_at':>12s} {'final_E':>12s}")
     for i, a in enumerate(cfg.alphas):
-        loss = _build_loss(cfg, law_kind, args.unsafe_alpha, alpha=a)
-        traj = integrate(mlp, mode, loss, gains, integ, stop, law=cfg.law)
+        loss = _build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a)
+        traj = integrate(prob.mlp, prob.mode, loss, prob.gains, integ, prob.stop,
+                         law=prob.law)
         p = f"row{i}."
         lines.append(f"{p}alpha = {_num(a)}")
         lines += _traj_lines(p, traj)
@@ -427,11 +401,12 @@ def _fd_gradient(mlp: Mlp, x, y_star, loss, h: float = 1e-6) -> list:
 
 
 def _cmd_gradcheck(cfg: ExperimentConfig, args, out: Path) -> int:
-    mlp, _, loss, mode = _setup(cfg, args)
-    if isinstance(mode, TheoryFlow):
-        x, y_star = mode.x, mode.y_star
+    prob = resolve(cfg, args)
+    mlp, loss = prob.mlp, prob.loss
+    if isinstance(prob.mode, TheoryFlow):
+        x, y_star = prob.mode.x, prob.mode.y_star
     else:
-        x, y_star = mode.dataset.sample(0)
+        x, y_star = prob.mode.dataset.sample(0)
 
     trace = forward(mlp, x)
     analytic = loss_gradient(sensitivities(mlp, trace, y_star, loss), trace)

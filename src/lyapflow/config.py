@@ -45,6 +45,20 @@ def _int(s: str) -> int:
     return int(s, 10)
 
 
+def _count(s: str) -> int:
+    n = int(s, 10)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _positive(s: str) -> float:
+    v = float(s)
+    if not (v > 0 and math.isfinite(v)):
+        raise ValueError(f"must be finite and > 0, got {s!r}")
+    return v
+
+
 def _bool(s: str) -> bool:
     low = s.lower()
     if low in ("true", "yes", "1", "on"):
@@ -127,9 +141,7 @@ class ExperimentConfig:
     redraw_every: int = 1
 
     # bound
-    flavor: str = None         # None -> pick from law
-    gamma: float = None
-    gamma_source: str = "data_min"
+    gamma: float = None        # None -> the data minimum
 
     # bookkeeping
     seed: int = 0
@@ -151,13 +163,13 @@ _KEYS = {
     "loss.alpha": ("alpha", float),
     "loss.beta": ("beta", float),
     "loss.law": ("law", _choice("auto", "single_neuron", "mlp", "baseline")),
-    "gains.k": ("k", float),
+    "gains.k": ("k", _positive),
     "integ.method": ("method", _choice("rk4", "euler")),
-    "integ.dt": ("dt", float),
-    "integ.t_max": ("t_max", float),
-    "integ.record_stride": ("record_stride", _int),
-    "integ.step_budget": ("step_budget", _int),
-    "stop.epsilon": ("epsilon", float),
+    "integ.dt": ("dt", _positive),
+    "integ.t_max": ("t_max", _positive),
+    "integ.record_stride": ("record_stride", _count),
+    "integ.step_budget": ("step_budget", _count),
+    "stop.epsilon": ("epsilon", _positive),
     "mode.kind": ("mode", _choice("theory", "epoch")),
     "mode.x": ("x", _list(float)),
     "mode.y_star": ("y_star", _list(float)),
@@ -174,10 +186,8 @@ _KEYS = {
     "perturb.mode": ("perturb_mode", _choice("vanishing", "amplitude")),
     "perturb.M": ("perturb_m", float),
     "perturb.alpha": ("perturb_alpha", float),
-    "perturb.redraw_every": ("redraw_every", _int),
-    "bound.flavor": ("flavor", _choice("single_neuron", "mlp", "perturbed")),
+    "perturb.redraw_every": ("redraw_every", _count),
     "bound.gamma": ("gamma", float),
-    "bound.gamma_source": ("gamma_source", _choice("data_min", "bias_unit")),
     "run.seed": ("seed", _int),
     "run.out": ("out_dir", str),
     "sweep.alphas": ("alphas", _list(float)),
@@ -250,19 +260,9 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
     alpha = cfg.perturb_alpha  # amplitude noise ignores it
     if cfg.perturb_mode != "amplitude" and alpha is not None and not 0.0 <= alpha < 1.0:
         probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
-    if cfg.redraw_every < 1:
-        probs.append(f"{source}: perturb.redraw_every must be >= 1")
-    elif cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample
+    if cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample
         probs.append(f"{source}: perturb.redraw_every > 1 needs mode.kind = theory; "
                      "epoch mode draws fresh noise for every sample")
-    if cfg.dt is not None and cfg.dt <= 0:
-        probs.append(f"{source}: integ.dt must be positive")
-    if cfg.t_max <= 0:
-        probs.append(f"{source}: integ.t_max must be positive")
-    if cfg.k <= 0:
-        probs.append(f"{source}: gains.k must be positive")
-    if cfg.epsilon <= 0:
-        probs.append(f"{source}: stop.epsilon must be positive")
     return probs
 
 

@@ -39,43 +39,21 @@ ControlSignal = list
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Positive gains, either one scalar for everything or one matrix per layer."""
+    """One positive gain k for every weight."""
 
-    scalar: float | None = None
-    matrices: tuple | None = None
+    scalar: float
 
     def __post_init__(self):
-        if (self.scalar is None) == (self.matrices is None):
-            raise ValueError("provide exactly one of scalar / matrices")
-        if self.scalar is not None:
-            if not (np.isfinite(self.scalar) and self.scalar > 0):
-                raise ValueError(f"gain must be finite and > 0, got {self.scalar}")
-        else:
-            mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
-            for m in mats:
-                if not (np.all(np.isfinite(m)) and np.all(m > 0)):
-                    raise ValueError("every gain entry must be finite and > 0")
-            object.__setattr__(self, "matrices", mats)
+        if not (np.isfinite(self.scalar) and self.scalar > 0):
+            raise ValueError(f"gain must be finite and > 0, got {self.scalar}")
 
     @classmethod
     def uniform(cls, k: float) -> "GainSchedule":
-        return cls(scalar=float(k))
-
-    @classmethod
-    def per_weight(cls, matrices) -> "GainSchedule":
-        return cls(scalar=None, matrices=tuple(matrices))
+        return cls(float(k))
 
     @property
     def k_min(self) -> float:
-        if self.scalar is not None:
-            return self.scalar
-        return float(min(m.min() for m in self.matrices))
-
-    def layer(self, index: int):
-        """Gain factor for weight layer `index` (scalar or full matrix)."""
-        if self.scalar is not None:
-            return self.scalar
-        return self.matrices[index]
+        return self.scalar
 
 
 def signal_norm(signal: ControlSignal) -> float:
@@ -89,7 +67,7 @@ def lyapunov_rate_scale(alpha: float) -> float:
     The loss carries a 1/(alpha+1) normalisation, so the raw law decreases E
     at rate |e|**alpha * sum(k|x|) rather than E**beta * sum(k|x|).  The two
     differ by exactly this constant; folding it into the law makes the
-    integrated loss follow dE/dt = -c * E**beta with c = sum(k_i |x_i|), the
+    integrated loss follow dE/dt = -c * E**beta with c = k * sum|x_i|, the
     same constant the settling-time certificate is stated in.
     """
     return float((alpha + 1.0) ** (-alpha / (alpha + 1.0)))
@@ -99,10 +77,10 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
                          rate_scale: float = 1.0) -> ControlSignal:
     """Rate law for a single sigmoid unit; the bias weight is frozen.
 
-    u_i = -k_i * sign(x_i) * sign(e) * (exp(z) + 2 + exp(-z)) * rate_scale,
+    u_i = -k * sign(x_i) * sign(e) * (exp(z) + 2 + exp(-z)) * rate_scale,
     where exp(z) + 2 + exp(-z) is 1/sigma'(z), evaluated with z clamped to
     +/-30.  With rate_scale=1 the induced loss rate is exactly
-    -|e|**alpha * sum(k_i |x_i|); see :func:`lyapunov_rate_scale` for the
+    -|e|**alpha * k * sum|x_i|; see :func:`lyapunov_rate_scale` for the
     scale that restates it in terms of E**beta.
 
     For a stack of R runs e_bar and z are arrays of one value per run and x
@@ -119,17 +97,14 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     # sign(e) scales by +/-1 or 0, so folding it into the magnitude first
     # rounds exactly like applying it to the rate
     mag = np.sign(e_bar) * (np.exp(zc) + 2.0 + np.exp(-zc))
-    k = gains.layer(0)
-    if isinstance(k, np.ndarray):
-        k = k[0, :-1]
     rate = np.zeros(mag.shape + (1, x.shape[-1] + 1))
-    rate[..., 0, :-1] = -k * np.sign(x) * (mag[:, None] if stacked else mag) * rate_scale
+    rate[..., 0, :-1] = -gains.scalar * np.sign(x) * (mag[:, None] if stacked else mag) * rate_scale
     return [rate]
 
 
 def mlp_update(deltas, trace: ForwardTrace, E: float, gains: GainSchedule,
                loss: LyapunovLoss) -> ControlSignal:
-    """Layered law: dW_l/dt = -K_l * sgnpow(delta_l z_l^T, alpha) * E**beta.
+    """Layered law: dW_l/dt = -k * sgnpow(delta_l z_l^T, alpha) * E**beta.
 
     Bias columns are updated like any other weight (their activation entry
     is the constant 1).  Valid for alpha + beta < 1.  E is one value per run
@@ -147,10 +122,10 @@ def mlp_update(deltas, trace: ForwardTrace, E: float, gains: GainSchedule,
     # last bit differently, and the weights would drift from a lone run's
     powers = [v ** loss.beta for v in values]
     scale = np.reshape(powers, (-1, 1, 1)) if stacked else powers[0]
-    return [-gains.layer(l) * sgnpow(sens, loss.alpha) * scale
-            for l, sens in enumerate(loss_gradient(deltas, trace))]
+    return [-gains.scalar * sgnpow(sens, loss.alpha) * scale
+            for sens in loss_gradient(deltas, trace)]
 
 
 def gradient_flow_update(grad, gains: GainSchedule) -> ControlSignal:
-    """Baseline: dW_l/dt = -K_l * dE/dW_l."""
-    return [-gains.layer(l) * g for l, g in enumerate(grad)]
+    """Baseline: dW_l/dt = -k * dE/dW_l."""
+    return [-gains.scalar * g for g in grad]

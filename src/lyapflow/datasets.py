@@ -1,4 +1,4 @@
-"""Dataset loading, normalisation, splitting and synthetic generators."""
+"""Dataset loading, normalisation and synthetic generators."""
 
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ __all__ = [
     "Dataset",
     "CsvSchema",
     "load_csv",
-    "save_csv",
     "normalize",
-    "split",
     "gen_blobs",
     "gen_linreg",
 ]
@@ -56,29 +54,8 @@ class Dataset:
     def n_targets(self) -> int:
         return self.targets.shape[1]
 
-    @property
-    def input_bound(self) -> float:
-        """a = max |x_i| over the whole table (the excitation upper bound)."""
-        return float(np.max(np.abs(self.inputs)))
-
     def sample(self, i: int):
         return self.inputs[i].copy(), self.targets[i].copy()
-
-    def stats_lines(self) -> list:
-        lines = [
-            f"name = {self.name}",
-            f"rows = {len(self)}",
-            f"features = {self.n_features}",
-            f"targets = {self.n_targets}",
-            f"input_bound_a = {self.input_bound!r}",
-        ]
-        for j in range(self.n_features):
-            col = self.inputs[:, j]
-            lines.append(f"feature_{j}_min = {col.min()!r}")
-            lines.append(f"feature_{j}_max = {col.max()!r}")
-        for note in self.notes:
-            lines.append(f"note = {note}")
-        return lines
 
 
 @dataclass(frozen=True)
@@ -152,18 +129,6 @@ def _cell(row, idx) -> float:
     return val
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Write features f0..fn-1 and targets t0..tm-1 at full float precision."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"f{j}" for j in range(dataset.n_features)]
-            + [f"t{j}" for j in range(dataset.n_targets)]
-        )
-        for x, y in zip(dataset.inputs, dataset.targets):
-            writer.writerow([f"{v:.17g}" for v in x] + [f"{v:.17g}" for v in y])
-
-
 def normalize(dataset: Dataset) -> Dataset:
     """Min-max scale each feature column onto [0, 1].
 
@@ -181,22 +146,6 @@ def normalize(dataset: Dataset) -> Dataset:
         else:
             out[:, j] = (dataset.inputs[:, j] - lo[j]) / span[j]
     return Dataset(out, dataset.targets.copy(), name=dataset.name + ":minmax", notes=notes)
-
-
-def split(dataset: Dataset, seed: int) -> tuple:
-    """Seeded shuffle, then ceil(0.8 N) train rows and the rest eval."""
-    n = len(dataset)
-    if n < 5:
-        raise DataError(f"need at least 5 samples to split, got {n}")
-    order = np.random.default_rng(seed).permutation(n)
-    cut = math.ceil(0.8 * n)
-    tr, ev = order[:cut], order[cut:]
-    return (
-        Dataset(dataset.inputs[tr], dataset.targets[tr],
-                name=dataset.name + ":train", notes=list(dataset.notes)),
-        Dataset(dataset.inputs[ev], dataset.targets[ev],
-                name=dataset.name + ":eval", notes=list(dataset.notes)),
-    )
 
 
 def gen_blobs(seed: int, per_class: int = 50, separation: float = 5.0) -> Dataset:

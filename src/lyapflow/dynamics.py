@@ -53,7 +53,6 @@ __all__ = [
     "integrate_batch",
     "initial_loss",
     "select_law",
-    "detect_settle",
     "dataset_loss",
 ]
 
@@ -173,9 +172,10 @@ def initial_loss(mlp: Mlp, mode, loss) -> float:
     raise ModeError(f"unknown train mode {type(mode).__name__}")
 
 
-def select_law(mlp: Mlp, loss, law: str) -> str:
-    """Resolve 'auto' and check that the named law fits the net and loss."""
-    if not isinstance(loss, LyapunovLoss):
+def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
+    """The law a run follows: 'auto' resolved, the named law checked against
+    the net and the loss (`lyapunov` is whether it is the Lyapunov loss)."""
+    if not lyapunov:
         if law not in ("auto", "baseline"):
             raise ModeError(f"law {law!r} requires the Lyapunov loss")
         return "baseline"
@@ -201,7 +201,7 @@ class _Law:
 
     def __init__(self, mlp: Mlp, loss, gains: GainSchedule, law: str):
         self.mlp, self.loss, self.gains = mlp, loss, gains
-        self.kind = select_law(mlp, loss, law)
+        self.kind = select_law(mlp, isinstance(loss, LyapunovLoss), law)
         if self.kind == "single_neuron":
             self.rate_scale = lyapunov_rate_scale(loss.alpha)
 
@@ -488,20 +488,3 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
     runs.finish(np.ones(len(runs.ids), dtype=bool), None)
     return runs.results(stop.epsilon)
 
-
-def detect_settle(traj: Trajectory, stop: StoppingRule | None = None) -> float | None:
-    """First crossing time of E <= epsilon, interpolated between records.
-
-    Returns 0.0 if the very first record is already at or below epsilon and
-    None if the trajectory never crosses.
-    """
-    eps = traj.epsilon if stop is None else stop.epsilon
-    below = np.nonzero(traj.E <= eps)[0]
-    if len(below) == 0:
-        return None
-    i = int(below[0])
-    if i == 0:
-        return 0.0
-    e0, e1 = traj.E[i - 1], traj.E[i]
-    t0, t1 = traj.t[i - 1], traj.t[i]
-    return float(t0 + (e0 - eps) * (t1 - t0) / (e0 - e1))

@@ -21,7 +21,6 @@ __all__ = [
     "L1Loss",
     "L2Loss",
     "Loss",
-    "loss_from_name",
 ]
 
 
@@ -144,14 +143,3 @@ class L2Loss:
 
 Loss = LyapunovLoss | L1Loss | L2Loss
 
-
-def loss_from_name(name: str, alpha: float = 0.7, beta: float | None = None,
-                   allow_unsafe_alpha: bool = False) -> Loss:
-    """Build a loss from its config-file name ('lyapunov' | 'l1' | 'l2')."""
-    if name == "lyapunov":
-        return LyapunovLoss(alpha, beta, allow_unsafe_alpha)
-    if name == "l1":
-        return L1Loss()
-    if name == "l2":
-        return L2Loss()
-    raise ValueError(f"unknown loss kind {name!r}")

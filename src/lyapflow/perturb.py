@@ -26,12 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import GammaEstimate, estimate_gamma, refuse_frozen_bias, settling_bound
-from .dynamics import TheoryFlow, initial_loss, integrate_batch, select_law
-from .errors import GuaranteeError
+from .bounds import GammaEstimate, certify, estimate_gamma
+from .dynamics import EpochFlow, initial_loss, integrate_batch, select_law
 from .losses import LyapunovLoss
 
-__all__ = ["PerturbationSpec", "perturb_input", "robustness_run", "robustness_sweep"]
+__all__ = ["PerturbationSpec", "robustness_run", "robustness_sweep"]
 
 
 @dataclass(frozen=True)
@@ -78,14 +77,6 @@ class PerturbationSpec:
         return x_new
 
 
-def perturb_input(x, spec: PerturbationSpec, rng=None) -> np.ndarray:
-    """One perturbed copy of x; with rng=None the spec's seed is used fresh,
-    so repeated calls return the identical draw."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    return spec.apply(x, rng)
-
-
 def robustness_run(mlp, mode, spec: PerturbationSpec, gains, loss, integ, stop,
                    gamma: GammaEstimate | None = None, law: str = "auto"):
     """(trajectory, bound) of one noisy run: the one-level robustness_sweep."""
@@ -98,28 +89,20 @@ def robustness_sweep(mlp, mode, specs, gains, loss, integ, stop,
     """Integrate one flow under every level in `specs` at once; certify each.
 
     The levels may differ only in M (else ValueError).  E0, the loss at the
-    initial weights on the *unperturbed* inputs, and gamma are computed once.
-    A bound is None when refused: amplitude noise, M >= k_min, or a gamma
-    the law cannot lean on.  Returns an iterator of (trajectory, bound) in
-    level order; a level whose run failed raises its error when reached, as
-    if the levels had run one after another.
+    initial weights on the *unperturbed* inputs, and gamma (estimated from
+    the data if None) are computed once; ``certify`` certifies each level,
+    or refuses it (bound None).  Returns an iterator of
+    (trajectory, bound) in level order; a level whose run failed raises its
+    error when reached, as if the levels had run one after another.
     """
     specs = list(specs)
     if not specs or any(replace(s, M=specs[0].M) != specs[0] for s in specs[1:]):
         raise ValueError("a sweep needs one or more levels that differ only in M")
     E0 = initial_loss(mlp, mode, loss)
     if gamma is None:
-        gamma = estimate_gamma(mode.x[None, :] if isinstance(mode, TheoryFlow) else mode.dataset)
-    bounds = [None] * len(specs)
-    if specs[0].mode == "vanishing" and isinstance(loss, LyapunovLoss) and E0 > 0:
-        law_kind = select_law(mlp, loss, law)
-        for i, spec in enumerate(specs):
-            try:
-                refuse_frozen_bias(gamma, law_kind)
-                bounds[i] = settling_bound(E0, gains, gamma, loss,
-                                           flavor="perturbed", M=spec.M)
-            except GuaranteeError:
-                pass
+        gamma = estimate_gamma(mode.dataset if isinstance(mode, EpochFlow) else mode.x)
+    law_kind = select_law(mlp, isinstance(loss, LyapunovLoss), law)
+    bounds = [certify(E0, gains, gamma, loss, law_kind, spec)[0] for spec in specs]
 
     runs = integrate_batch(mlp, mode, loss, gains, integ, stop, law=law, noises=specs)
     return _in_level_order(runs, bounds)

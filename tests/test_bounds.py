@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lyapflow import (
     AssumptionError,
+    ConfigError,
     GainSchedule,
     GammaEstimate,
     GuaranteeError,
     Integrator,
+    L2Loss,
     LyapunovLoss,
     Mlp,
+    PerturbationSpec,
     StoppingRule,
     TheoryFlow,
     Trajectory,
@@ -19,6 +24,9 @@ from lyapflow import (
     settling_bound,
     verify_decrease,
 )
+from lyapflow.bounds import certify
+from lyapflow.cli import main as cli_main
+from lyapflow.config import config_from_text, parse_kv
 
 ALPHA = 0.7
 BETA = ALPHA / (ALPHA + 1.0)
@@ -37,13 +45,35 @@ def test_settling_bound_formula_direct():
 
 def test_single_neuron_certificate_refuses_bias_unit_gamma():
     # the single-neuron law freezes the bias weight, so the bias unit gives
-    # that law no excitation; the layered law moves it and keeps gamma = 1
-    gamma = estimate_gamma(np.array([[0.1, 0.05]]), source="bias_unit")
-    gains = GainSchedule.uniform(1.0)
-    with pytest.raises(GuaranteeError, match="bias"):
-        settling_bound(0.01, gains, gamma, LyapunovLoss.single_neuron(ALPHA))
-    b = settling_bound(0.01, gains, gamma, LyapunovLoss.multilayer(ALPHA), flavor="mlp")
-    assert b.gamma == 1.0
+    # that law no excitation; a config cannot ask for that gamma any more
+    with pytest.raises(ConfigError, match="unknown key 'bound.gamma_source'"):
+        config_from_text("net.layers = 2, 1\nmode.x = 0.1, 0.05\nmode.y_star = 0.48\n"
+                         "bound.gamma_source = bias_unit\n")
+
+
+def test_certify_picks_the_flavor_and_gives_each_refusal_a_reason():
+    gains, gamma = GainSchedule.uniform(2.0), GammaEstimate(0.5)
+    single, layered = LyapunovLoss.single_neuron(ALPHA), LyapunovLoss.multilayer(ALPHA)
+    noise = PerturbationSpec("vanishing", 0.5, alpha=ALPHA)
+    # the flavor follows the law, and is 'perturbed' under vanishing noise
+    assert certify(0.3, gains, gamma, single, "single_neuron") == (
+        settling_bound(0.3, gains, gamma, single), None)
+    assert certify(0.3, gains, gamma, layered, "mlp") == (
+        settling_bound(0.3, gains, gamma, layered, flavor="mlp"), None)
+    assert certify(0.3, gains, gamma, layered, "mlp", noise) == (
+        settling_bound(0.3, gains, gamma, layered, flavor="perturbed", M=0.5), None)
+    refusals = {
+        "no certificate for l2 loss": certify(0.3, gains, gamma, L2Loss(), "baseline"),
+        "already settled": certify(0.0, gains, gamma, single, "single_neuron"),
+        "amplitude-mode": certify(0.3, gains, gamma, single, "single_neuron",
+                                  PerturbationSpec("amplitude", 0.1)),
+        "must exceed": certify(0.3, gains, gamma, single, "single_neuron",
+                               replace(noise, M=2.0)),
+        "all zeros": certify(0.3, gains, AssumptionError("sample 0 is all zeros"),
+                             single, "single_neuron"),
+    }
+    for reason, (bound, why) in refusals.items():
+        assert bound is None and reason in why
 
 
 def test_bound_gain_scaling_reproduces_reference_ratios():
@@ -131,7 +161,6 @@ def test_estimate_gamma_data_min():
     g = estimate_gamma(x)
     assert g.gamma == 0.5          # weakest sample's strongest entry
     assert g.source == "data_min"
-    assert g.input_bound_a == 3.0
 
 
 def test_estimate_gamma_zero_sample_raises():
@@ -141,11 +170,20 @@ def test_estimate_gamma_zero_sample_raises():
     assert "sample 1" in str(err.value)
 
 
-def test_estimate_gamma_bias_unit_mode():
+def test_estimate_gamma_bias_unit_mode(tmp_path, capsys):
+    # gone: the bias unit no longer lends an all-zero sample gamma = 1, so
+    # that sample gets no certificate; a sweep refuses each level's and runs
     x = np.array([[0.0, 0.0]])
-    g = estimate_gamma(x, source="bias_unit")
-    assert g.gamma == 1.0
-    assert g.input_bound_a >= 1.0
+    with pytest.raises(AssumptionError, match="all zeros"):
+        estimate_gamma(x)
+    path = tmp_path / "run.kv"
+    path.write_text("net.layers = 2, 1\nnet.init = zeros\nmode.x = 0, 0\nmode.y_star = 0.8\n"
+                    "integ.dt = 1e-3\ninteg.t_max = 0.01\nsweep.m_values = 0, 0.5\n")
+    assert cli_main(["bound", "--config", str(path), "--out", str(tmp_path / "b")]) == 1
+    assert "refused (sample 0 is all zeros" in capsys.readouterr().out
+    assert cli_main(["perturb-sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    kv = parse_kv((tmp_path / "s" / "summary.kv").read_text())
+    assert kv["row0.certified"] == kv["row1.certified"] == "false"
 
 
 def test_estimate_gamma_accepts_dataset_and_vectors():
@@ -161,8 +199,6 @@ def test_gamma_validation():
         GammaEstimate(0.0)
     with pytest.raises(ValueError):
         GammaEstimate(-1.0)
-    with pytest.raises(ValueError):
-        estimate_gamma(np.ones((1, 1)), source="sorcery")
 
 
 def _reference_run(t_stop_factor):

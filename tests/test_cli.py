@@ -115,9 +115,10 @@ def test_bound_refuses_overpowering_noise(tmp_path, capsys):
 
 def test_bias_unit_gamma_gets_no_single_neuron_certificate(tmp_path, capsys):
     # with gamma = 1 from the bias unit the certificate read T = 0.0249,
-    # yet this run settles near t = 0.166: the frozen bias weight excites nothing
-    cfg = _write(
-        tmp_path,
+    # yet this run settles near t = 0.166: the frozen bias weight excites
+    # nothing.  The key is refused when the config is read; the data's own
+    # gamma = 0.1 gives a certificate the run keeps.
+    text = (
         "net.layers = 2, 1\n"
         "net.init = zeros\n"
         "loss.alpha = 0.7\n"
@@ -128,18 +129,42 @@ def test_bias_unit_gamma_gets_no_single_neuron_certificate(tmp_path, capsys):
         "stop.epsilon = 1e-6\n"
         "mode.x = 0.1, 0.05\n"
         "mode.y_star = 0.48\n"
-        "bound.gamma_source = bias_unit\n",
     )
+    cfg = _write(tmp_path, text + "bound.gamma_source = bias_unit\n")
     out = tmp_path / "out"
-    assert main(["bound", "--config", cfg, "--out", str(out)]) == 1
-    assert "refused" in capsys.readouterr().out
-    assert "bound = none (no certificate" in (out / "summary.kv").read_text()
+    for command in ("bound", "train"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown key 'bound.gamma_source'" in capsys.readouterr().err
+    assert not (out / "summary.kv").exists()
 
-    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["train", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
     kv = _summary(out)
-    assert kv["bound"].startswith("none (no certificate") and "bias" in kv["bound"]
-    assert "bound.T" not in kv
-    assert kv["settled"] == "true" and float(kv["settled_at"]) > 0.1
+    assert kv["bound.flavor"] == "single_neuron" and kv["bound.gamma"] == "0.1"
+    assert kv["settled"] == "true" and 0.1 < float(kv["settled_at"]) <= float(kv["bound.T"])
+
+
+@pytest.mark.parametrize("text, removed, flavor, settles_at", [
+    # one sigmoid unit: the layered certificate read T = 0.1532, the run
+    # settles at 0.2488 and the single-neuron certificate gives 0.24884
+    ("net.layers = 2, 1\nnet.init = zeros\nmode.x = 2, 0\nmode.y_star = 0.9\n",
+     "bound.flavor = mlp", "single_neuron", 0.2488),
+    # 2-3-1 identity net: gamma = 1 from the bias unit read T = 0.3737, the
+    # run settles at 6.4 and the data's gamma = 0.1 gives T = 18.73
+    ("net.layers = 2, 3, 1\nnet.output_activation = identity\nmode.x = 0.1, 0.05\n"
+     "mode.y_star = 0.9\ninteg.dt = 5e-4\n",
+     "bound.gamma_source = bias_unit", "mlp", 6.4),
+], ids=["flavor", "gamma_source"])
+def test_a_config_cannot_pick_a_certificate_its_run_breaks(tmp_path, capsys, text, removed,
+                                                           flavor, settles_at):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text + removed + "\n")
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 2
+    assert f"unknown key '{removed.split()[0]}'" in capsys.readouterr().err
+
+    assert main(["bound", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    kv = _summary(out)
+    assert kv["bound.flavor"] == flavor
+    assert float(kv["bound.T"]) > settles_at
 
 
 def test_epoch_mode_train_reports_euler(tmp_path):
@@ -284,9 +309,9 @@ def test_compare_settling_loss_wins(tmp_path, capsys):
 
 def test_noisy_run_gets_no_certificate_from_a_bias_unit_gamma(tmp_path, capsys):
     # the perturbed certificate read T = 0.0249 here, yet the run settles
-    # near t = 0.163: the single-neuron law freezes the bias weight
-    cfg = _write(
-        tmp_path,
+    # near t = 0.163: the single-neuron law freezes the bias weight.  The key
+    # is refused when read; the data's gamma = 0.1 gives a sound certificate.
+    text = (
         "net.layers = 2, 1\n"
         "net.init = zeros\n"
         "loss.alpha = 0.7\n"
@@ -297,20 +322,45 @@ def test_noisy_run_gets_no_certificate_from_a_bias_unit_gamma(tmp_path, capsys):
         "stop.epsilon = 1e-6\n"
         "mode.x = 0.1, 0.05\n"
         "mode.y_star = 0.48\n"
-        "bound.gamma_source = bias_unit\n"
         "perturb.mode = vanishing\n"
-        "perturb.M = 0\n",
+        "perturb.M = 0\n"
     )
+    cfg = _write(tmp_path, text + "bound.gamma_source = bias_unit\n")
     out = tmp_path / "out"
-    assert main(["bound", "--config", cfg, "--out", str(out)]) == 1
-    assert "refused" in capsys.readouterr().out
-    assert "bound = none (no certificate" in (out / "summary.kv").read_text()
+    for command in ("bound", "train"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown key 'bound.gamma_source'" in capsys.readouterr().err
+    assert not (out / "summary.kv").exists()
 
-    assert main(["train", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["train", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
     kv = _summary(out)
-    assert kv["bound"].startswith("none (no certificate") and "bias" in kv["bound"]
-    assert "bound.T" not in kv
-    assert kv["settled"] == "true" and float(kv["settled_at"]) > 0.1
+    assert kv["bound.flavor"] == "perturbed" and kv["bound.gamma"] == "0.1"
+    assert kv["settled"] == "true" and 0.1 < float(kv["settled_at"]) <= float(kv["bound.T"])
+
+
+@pytest.mark.parametrize("gamma_line", ["", "bound.gamma = 1.5\n"], ids=["data_min", "user"])
+def test_bound_and_perturb_sweep_agree_on_T(tmp_path, gamma_line):
+    # both take gamma from the one resolver: the user's value, else the data's
+    base = (
+        "net.layers = 2, 1\n"
+        "net.init = zeros\n"
+        "integ.method = euler\n"
+        "integ.dt = 1e-5\n"
+        "integ.t_max = 1e-3\n"
+        "mode.x = 50, 40\n"
+        "mode.y_star = 0.3\n"
+        "perturb.mode = vanishing\n"
+        + gamma_line
+    )
+    sweep = _write(tmp_path, base + "perturb.M = 0\nsweep.m_values = 0.2, 0.6\n", "s.kv")
+    assert main(["perturb-sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == 0
+    rows = _summary(tmp_path / "s")
+    for i, m in enumerate(("0.2", "0.6")):
+        one = _write(tmp_path, base + f"perturb.M = {m}\n", "b.kv")
+        assert main(["bound", "--config", one, "--out", str(tmp_path / "b")]) == 0
+        kv = _summary(tmp_path / "b")
+        assert kv["bound.gamma"] == ("1.5" if gamma_line else "50.0")
+        assert rows[f"row{i}.T_bound"] == kv["bound.T"]
 
 
 def test_compare_takes_dt_from_the_certificate(tmp_path):

@@ -44,7 +44,7 @@ def test_config_happy_path_covers_key_groups():
         "mode.kind = theory\n"
         "mode.x = 1, 0.5, -0.2, 0\n"
         "mode.y_star = -3\n"
-        "bound.gamma_source = bias_unit\n"
+        "bound.gamma = 0.5\n"
         "run.seed = 42\n"
         "run.out = /tmp/somewhere\n"
     )
@@ -60,7 +60,7 @@ def test_config_happy_path_covers_key_groups():
     assert cfg.epsilon == 1e-6
     assert cfg.x == (1.0, 0.5, -0.2, 0.0)
     assert cfg.y_star == (-3.0,)
-    assert cfg.gamma_source == "bias_unit"
+    assert cfg.gamma == 0.5
     assert cfg.seed == 42
     assert cfg.out_dir == "/tmp/somewhere"
 
@@ -155,7 +155,7 @@ def test_epoch_mode_rejects_held_noise(tmp_path, capsys):
         config_from_text(epoch + "perturb.redraw_every = 2\n")
     config_from_text(epoch + "perturb.redraw_every = 1\n")
     config_from_text("mode.x = 1\nmode.y_star = 0.5\nperturb.redraw_every = 3\n")
-    with pytest.raises(ConfigError, match="redraw_every must be >= 1"):
+    with pytest.raises(ConfigError, match="perturb.redraw_every': must be >= 1"):
         config_from_text("mode.x = 1\nmode.y_star = 0.5\nperturb.redraw_every = 0\n")
 
     path = tmp_path / "run.kv"
@@ -176,6 +176,25 @@ def test_noise_levels_are_checked_when_read():
     config_from_text(base + "sweep.m_values = 0, 0.5, 2\nperturb.alpha = 0\n")
     # amplitude noise has no alpha to check
     config_from_text(base + "perturb.mode = amplitude\nperturb.M = 0.2\nperturb.alpha = 1.2\n")
+
+
+@pytest.mark.parametrize("line", [
+    "integ.record_stride = 0",
+    "integ.step_budget = 0",
+    "integ.t_max = inf",
+    "integ.dt = nan",
+    "gains.k = inf",
+    "stop.epsilon = nan",
+])
+def test_unusable_values_exit_2_when_read(tmp_path, capsys, line):
+    # each of these once passed the config and then died in the run with a
+    # traceback from the integrator, gain or stopping-rule dataclass
+    path = tmp_path / "run.kv"
+    path.write_text("net.layers = 4, 1\nmode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n"
+                    + line + "\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"bad value for '{line.split()[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bool_spellings():

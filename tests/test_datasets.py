@@ -9,8 +9,6 @@ from lyapflow import (
     gen_linreg,
     load_csv,
     normalize,
-    save_csv,
-    split,
 )
 
 
@@ -19,7 +17,9 @@ def test_save_load_roundtrip_is_exact(tmp_path):
     data = Dataset(rng.normal(size=(12, 3)) * 1e3, rng.normal(size=(12, 2)),
                    name="roundtrip")
     path = tmp_path / "d.csv"
-    save_csv(data, path)
+    rows = ["f0,f1,f2,t0,t1"] + [",".join(f"{v:.17g}" for v in (*x, *y))
+                                 for x, y in zip(data.inputs, data.targets)]
+    path.write_text("\n".join(rows) + "\n")
     back = load_csv(path, CsvSchema(("f0", "f1", "f2"), ("t0", "t1")))
     assert np.array_equal(back.inputs, data.inputs)   # %.17g is lossless
     assert np.array_equal(back.targets, data.targets)
@@ -92,28 +92,6 @@ def test_normalize_maps_columns_to_unit_range():
     assert np.array_equal(normed.targets, data.targets)
 
 
-def test_split_is_seeded_and_preserves_rows():
-    data = gen_blobs(seed=2, per_class=10)
-    train, hold = split(data, seed=5)
-    assert len(train) == 16 and len(hold) == 4  # ceil(0.8 * 20)
-    again_train, again_hold = split(data, seed=5)
-    assert np.array_equal(train.inputs, again_train.inputs)
-    other_train, _ = split(data, seed=6)
-    assert not np.array_equal(train.inputs, other_train.inputs)
-    # every original row appears exactly once across the two parts
-    combined = np.vstack([train.inputs, hold.inputs])
-    assert np.array_equal(np.sort(combined, axis=0), np.sort(data.inputs, axis=0))
-
-
-def test_split_minimum_size():
-    tiny = Dataset(np.ones((4, 2)), np.zeros((4, 1)))
-    with pytest.raises(DataError):
-        split(tiny, seed=0)
-    five = Dataset(np.arange(10.0).reshape(5, 2), np.zeros((5, 1)))
-    train, hold = split(five, seed=0)
-    assert len(train) == 4 and len(hold) == 1
-
-
 def test_gen_blobs_geometry():
     data = gen_blobs(seed=9, per_class=200, separation=5.0)
     assert data.inputs.shape == (400, 4)
@@ -160,11 +138,7 @@ def test_dataset_helpers():
                    name="tiny")
     assert len(data) == 2
     assert data.n_features == 2 and data.n_targets == 1
-    assert data.input_bound == 7.0
     x, y = data.sample(1)
     assert np.array_equal(x, [2.0, 3.0]) and np.array_equal(y, [0.25])
     x[0] = 99.0  # sample() hands out copies
     assert data.inputs[1, 0] == 2.0
-    lines = data.stats_lines()
-    assert "rows = 2" in lines
-    assert any(ln.startswith("input_bound_a") for ln in lines)

@@ -16,7 +16,6 @@ from lyapflow import (
     TheoryFlow,
     Trajectory,
     dataset_loss,
-    detect_settle,
     forward,
     gen_blobs,
     integrate,
@@ -78,9 +77,6 @@ def test_settle_detection_on_reference_problem():
     traj = integrate(mlp, mode, loss, GainSchedule.uniform(1.0), integ, StoppingRule(1e-9))
     assert traj.settled_at is not None
     assert traj.settled_at <= T * 1.0001
-    crossing = detect_settle(traj)
-    assert crossing is not None
-    assert 0.0 < crossing <= traj.settled_at
     # loss only decreases on the way there
     assert traj.monotone_violations() == 0
 
@@ -91,21 +87,6 @@ def _fake_traj(t, E, epsilon=1e-9):
     return Trajectory(t=t, E=E, errors=np.zeros((len(t), 1)),
                       control_norm=np.zeros(len(t)), settled_at=None,
                       epsilon=epsilon, final_weights=[])
-
-
-def test_detect_settle_interpolates_linearly():
-    eps = 1e-9
-    traj = _fake_traj([0.0, 1.0], [2 * eps, 0.0], epsilon=eps)
-    assert detect_settle(traj) == pytest.approx(0.5)
-    traj2 = _fake_traj([2.0, 4.0], [3 * eps, eps], epsilon=eps)
-    assert detect_settle(traj2) == pytest.approx(4.0)
-
-
-def test_detect_settle_edges():
-    assert detect_settle(_fake_traj([0.0], [1e-12])) == 0.0
-    assert detect_settle(_fake_traj([0.0, 1.0], [1.0, 0.5])) is None
-    stricter = StoppingRule(epsilon=0.75)
-    assert detect_settle(_fake_traj([0.0, 1.0], [1.0, 0.5]), stricter) == pytest.approx(0.5)
 
 
 def test_already_settled_start():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyapflow import L1Loss, L2Loss, LyapunovLoss, loss_from_name, sgnpow
+from lyapflow import L1Loss, L2Loss, LyapunovLoss, sgnpow
 
 
 def _slow_sgnpow(v, p):
@@ -113,15 +113,6 @@ def test_l1_l2_grads_match_finite_differences():
 def test_l1_l2_values():
     assert L1Loss().evaluate(np.array([1.0, -2.0, 0.5])) == pytest.approx(3.5)
     assert L2Loss().evaluate(np.array([3.0, -4.0])) == pytest.approx(12.5)
-
-
-def test_loss_from_name():
-    assert isinstance(loss_from_name("lyapunov", alpha=0.5), LyapunovLoss)
-    assert loss_from_name("lyapunov", alpha=0.5).alpha == 0.5
-    assert isinstance(loss_from_name("l1"), L1Loss)
-    assert isinstance(loss_from_name("l2"), L2Loss)
-    with pytest.raises(ValueError):
-        loss_from_name("huber")
 
 
 def test_evaluate_gives_one_value_per_run_of_a_stack():

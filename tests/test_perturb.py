@@ -10,7 +10,6 @@ from lyapflow import (
     DivergenceError,
     EpochFlow,
     GainSchedule,
-    GammaEstimate,
     Integrator,
     L2Loss,
     LyapunovLoss,
@@ -22,9 +21,9 @@ from lyapflow import (
     TheoryFlow,
     forward,
     integrate,
-    perturb_input,
     robustness_sweep,
 )
+from lyapflow.cli import main
 from lyapflow.datasets import Dataset
 from lyapflow.perturb import robustness_run
 
@@ -81,19 +80,7 @@ def test_draw_coverage_approaches_envelope():
 def test_zero_level_is_exact_noop():
     spec = PerturbationSpec(mode="amplitude", M=0.0)
     x = np.array([1.0, -2.0, 0.3])
-    assert np.array_equal(perturb_input(x, spec), x)
-
-
-def test_perturb_input_seed_semantics():
-    spec = PerturbationSpec(mode="vanishing", M=0.5, alpha=0.5, seed=42)
-    x = np.array([1.0, 2.0])
-    # default rng restarts from the spec seed every call
-    assert np.array_equal(perturb_input(x, spec), perturb_input(x, spec))
-    # a shared stream keeps advancing
-    rng = np.random.default_rng(42)
-    first = perturb_input(x, spec, rng)
-    second = perturb_input(x, spec, rng)
-    assert not np.array_equal(first, second)
+    assert np.array_equal(spec.apply(x, np.random.default_rng(spec.seed)), x)
 
 
 def test_apply_is_bitwise_numpy_uniform():
@@ -229,21 +216,16 @@ def test_sweep_keeps_the_draw_range_check():
         robustness_run(mlp, mode, specs[1], gains, loss, integ, stop)
 
 
-def test_sweep_refuses_a_bias_unit_gamma_for_the_single_neuron_law():
+def test_sweep_refuses_a_bias_unit_gamma_for_the_single_neuron_law(tmp_path, capsys):
     # the single-neuron law freezes its bias weight, so the bias unit excites
-    # nothing; the layered law moves it and keeps its certificate
-    mode = TheoryFlow(np.array([0.1, 0.05]), np.array([0.48]))
-    integ = Integrator(method="euler", dt=1e-3, t_max=1e-2)
-    spec = PerturbationSpec("vanishing", 0.0, alpha=0.7, seed=0)
-    gamma = GammaEstimate(1.0, source="bias_unit")
-    _, bound = robustness_run(Mlp.zeros((2, 1)), mode, spec, GainSchedule.uniform(1.0),
-                              LyapunovLoss.single_neuron(0.7), integ, StoppingRule(),
-                              gamma=gamma)
-    assert bound is None
-    _, bound = robustness_run(Mlp.zeros((2, 1)), mode, spec, GainSchedule.uniform(1.0),
-                              LyapunovLoss.multilayer(0.7), integ, StoppingRule(),
-                              gamma=gamma, law="mlp")
-    assert bound is not None and bound.flavor == "perturbed"
+    # nothing; the key that asked for it is refused when the config is read
+    path = tmp_path / "run.kv"
+    path.write_text("net.layers = 2, 1\nnet.init = zeros\nmode.x = 0.1, 0.05\n"
+                    "mode.y_star = 0.48\nbound.gamma_source = bias_unit\n"
+                    "sweep.m_values = 0, 0.5\n")
+    assert main(["perturb-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key 'bound.gamma_source'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_epoch_mode_refuses_held_noise():
