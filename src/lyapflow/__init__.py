@@ -52,7 +52,7 @@ from .errors import (
     ShapeError,
 )
 from .losses import L1Loss, L2Loss, Loss, LyapunovLoss, sgnpow
-from .net import Activation, ForwardTrace, Mlp, forward, loss_gradient, sensitivities
+from .net import Activation, ForwardTrace, Mlp, Sample, forward, loss_gradient, sensitivities
 from .perturb import PerturbationSpec, robustness_run, robustness_sweep
 
 __version__ = "0.1.0"
@@ -81,6 +81,7 @@ __all__ = [
     "Mlp",
     "ModeError",
     "PerturbationSpec",
+    "Sample",
     "SettlingBound",
     "ShapeError",
     "StoppingRule",

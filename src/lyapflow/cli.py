@@ -93,12 +93,24 @@ def _build_loss(cfg: ExperimentConfig, law_kind: str, unsafe: bool,
 
 
 def _build_mode(cfg: ExperimentConfig, dataset):
+    if cfg.mode == "theory" and cfg.sample_index is None:
+        return TheoryFlow(np.array(cfg.x), np.array(cfg.y_star))
+    # the run reads the dataset: its width must fit the net, its row exist
+    problems = []
+    if dataset.n_features != cfg.layers[0]:
+        problems.append(f"data: {dataset.n_features} features, "
+                        f"net.layers expects {cfg.layers[0]} inputs")
+    if dataset.n_targets != cfg.layers[-1]:
+        problems.append(f"data: {dataset.n_targets} targets, "
+                        f"net.layers expects {cfg.layers[-1]} outputs")
+    if cfg.mode == "theory" and not 0 <= cfg.sample_index < len(dataset):
+        problems.append(f"mode.sample = {cfg.sample_index} is out of range: "
+                        f"the data has rows 0 to {len(dataset) - 1}")
+    if problems:
+        raise ConfigError(problems)
     if cfg.mode == "epoch":
         return EpochFlow(dataset)
-    if cfg.sample_index is not None:
-        x, y_star = dataset.sample(cfg.sample_index)
-        return TheoryFlow(x, y_star)
-    return TheoryFlow(np.array(cfg.x), np.array(cfg.y_star))
+    return TheoryFlow(*dataset.sample(cfg.sample_index))
 
 
 def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:

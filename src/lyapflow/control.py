@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LyapunovLoss, sgnpow
-from .net import PREACT_CLAMP, ForwardTrace, loss_gradient
+from .net import PREACT_CLAMP, ForwardTrace, Sample, loss_gradient
 
 __all__ = [
     "GainSchedule",
@@ -84,9 +84,13 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     scale that restates it in terms of E**beta.
 
     For a stack of R runs e_bar and z are arrays of one value per run and x
-    is (R, n) or one shared (n,) sample; the rate is then (R, 1, n+1).
+    is (R, n) or one shared (n,) sample; the rate is then (R, 1, n+1).  x
+    may be a ``Sample``, whose direction -k * sign(x) is then computed once
+    for all calls.
     """
-    x = np.asarray(x, dtype=float)
+    k = gains.scalar
+    direction = (x.direction(k) if isinstance(x, Sample)
+                 else -k * np.sign(np.asarray(x, dtype=float)))
     stacked = isinstance(z, np.ndarray) and z.ndim > 0
     # max first, so a NaN pre-activation passes through as it would np.clip;
     # one run clamps a Python float, at a fraction of two ufunc calls
@@ -97,8 +101,8 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     # sign(e) scales by +/-1 or 0, so folding it into the magnitude first
     # rounds exactly like applying it to the rate
     mag = np.sign(e_bar) * (np.exp(zc) + 2.0 + np.exp(-zc))
-    rate = np.zeros(mag.shape + (1, x.shape[-1] + 1))
-    rate[..., 0, :-1] = -gains.scalar * np.sign(x) * (mag[:, None] if stacked else mag) * rate_scale
+    rate = np.zeros(mag.shape + (1, direction.shape[-1] + 1))
+    rate[..., 0, :-1] = direction * (mag[:, None] if stacked else mag) * rate_scale
     return [rate]
 
 

@@ -20,6 +20,12 @@ and the record.  The RK4 stages, like the per-sample epoch steps, compute
 only the control signal; they evaluate E only for the layered law, whose
 rate scales with E**beta.
 
+Inputs are checked once, when the flow is built: the theory sample and
+every dataset row become ``net.Sample`` objects (finite, shape-checked, bias
+column attached), and each noise draw becomes one after its own finiteness
+check.  A non-finite input is refused before the first step, and no RK4
+stage repeats the checks.
+
 An integration never mutates the caller's network; it works on its own copy
 and returns the final weights inside the Trajectory.
 """
@@ -41,7 +47,7 @@ from .control import (
 )
 from .errors import DivergenceError, HorizonError, ModeError, ShapeError
 from .losses import LyapunovLoss
-from .net import Activation, Mlp, forward, loss_gradient, sensitivities
+from .net import Activation, Mlp, Sample, forward, loss_gradient, sensitivities
 
 __all__ = [
     "Integrator",
@@ -155,12 +161,17 @@ class Trajectory:
 
 
 def dataset_loss(mlp: Mlp, dataset, loss) -> tuple:
-    """(summed loss over the dataset, mean |error| per output), batched."""
+    """(summed loss over the dataset, mean |error| per output), batched.
+
+    With stacked weights (R, out, in+1) it is one pass for all R runs and
+    returns one summed loss and one row of mean |error| per run, each
+    bitwise what the run's own weights give alone.
+    """
     z = dataset.inputs
     for w, act in zip(mlp.weights, mlp.activations):
-        z = act.apply(z @ w[:, :-1].T + w[:, -1])
+        z = act.apply(z @ np.swapaxes(w[..., :-1], -1, -2) + w[..., -1][..., None, :])
     errs = z - dataset.targets
-    return loss.evaluate(errs), np.mean(np.abs(errs), axis=0)
+    return loss.evaluate(errs), np.mean(np.abs(errs), axis=-2)
 
 
 def initial_loss(mlp: Mlp, mode, loss) -> float:
@@ -205,7 +216,9 @@ class _Law:
         if self.kind == "single_neuron":
             self.rate_scale = lyapunov_rate_scale(loss.alpha)
 
-    def eval(self, weights, x, y_star, with_E: bool = True) -> tuple:
+    def eval(self, weights, x: Sample, y_star, with_E: bool = True) -> tuple:
+        """x is a Sample (a plain array is checked again on every call);
+        y_star has been checked against the net's outputs."""
         self.mlp.weights = weights
         trace = forward(self.mlp, x)
         e = trace.y - y_star
@@ -215,7 +228,7 @@ class _Law:
         if self.kind == "single_neuron":
             return E, e, single_neuron_update(x, e[..., 0], trace.preacts[0][..., 0],
                                               self.gains, rate_scale=self.rate_scale)
-        d = sensitivities(self.mlp, trace, y_star, self.loss)
+        d = sensitivities(self.mlp, trace, y_star, self.loss, e)
         if self.kind == "mlp":
             return E, e, mlp_update(d, trace, E, self.gains, self.loss)
         return E, e, gradient_flow_update(loss_gradient(d, trace), self.gains)
@@ -254,7 +267,7 @@ class _Runs:
     def __init__(self, weights, count: int, x):
         self.ids, self.stacked = np.arange(count), count > 1
         self.W = [np.repeat(w[None], count, axis=0) for w in weights] if self.stacked else weights
-        self.x, self.u = x, None    # inputs, shared or one row per run; last signal
+        self.x, self.u = x, None    # Sample, shared or one row per run; last signal
         self.done = [None] * count  # (settled_at, final weights) or an error
         # flat lists of floats: less memory than small arrays, nothing to scan
         self.rec_ids, self.rec_t, self.rec_E, self.rec_err, self.rec_norm = [], [], [], [], []
@@ -272,8 +285,8 @@ class _Runs:
         if self.stacked:
             self.W = [w[keep] for w in self.W]
             self.u = None if self.u is None else [v[keep] for v in self.u]
-            if self.x is not None and self.x.ndim == 2:
-                self.x = self.x[keep]
+            if self.x is not None and self.x.x.ndim == 2:
+                self.x = Sample.trusted(self.x.x[keep])
 
     def drop_diverged(self, t: float, E, errs, state):
         """Drop the runs whose E or state (one stack per layer) is not finite."""
@@ -339,9 +352,10 @@ class _Noise:
         self.rng = np.random.default_rng(specs[0].seed) if rng is None else rng
 
     def draw(self, x, runs: _Runs):
-        """Perturbed copies of the sample x, one per active run.  A run whose
-        draw range or perturbed input is not finite fails here, with the error
-        rng.uniform or forward would raise for it alone."""
+        """The Sample of perturbed copies of the input x, one per active run,
+        or None once no run is left.  A run whose draw range or perturbed
+        input is not finite fails here, with the error rng.uniform or
+        forward would raise for it alone."""
         xs, span = self.unit.perturbed(x, self.rng.random(x.shape), self.M[runs.ids])
         bad_range = ~np.isfinite(span).all(axis=1)
         bad = bad_range | ~np.isfinite(xs).all(axis=1)
@@ -349,7 +363,9 @@ class _Noise:
             runs.drop(bad, lambda j: OverflowError("Range exceeds valid bounds")
                       if bad_range[j] else ShapeError("input contains non-finite entries"))
             xs = xs[~bad]
-        return xs if runs.stacked or not len(xs) else xs[0]
+            if not len(xs):
+                return None
+        return Sample.trusted(xs if runs.stacked else xs[0])
 
 
 class _Theory:
@@ -357,13 +373,13 @@ class _Theory:
 
     span = 1
 
-    def __init__(self, mode: TheoryFlow, law: _Law, integ: Integrator):
-        self.x, self.y_star, self.law, self.integ = mode.x, mode.y_star, law, integ
+    def __init__(self, x: Sample, y_star, law: _Law, integ: Integrator):
+        self.x, self.y_star, self.law, self.integ = x, y_star, law, integ
 
     def measure(self, runs: _Runs, noise, n: int, t: float):
         if noise is not None and n % noise.every == 0:
-            runs.x = noise.draw(self.x, runs)
-            if not len(runs.ids):
+            runs.x = noise.draw(self.x.x, runs)
+            if runs.x is None:
                 return None, None
         E, e, runs.u = self.law.eval(runs.W, runs.x, self.y_star)
         if not runs.stacked:  # the loop works on one E and error row per run
@@ -378,23 +394,22 @@ class _Theory:
 class _Epochs:
     """Epoch mode: a checkpoint every epoch, one Euler step per sample apart."""
 
-    def __init__(self, mode: EpochFlow, law: _Law, integ: Integrator):
-        self.ds, self.law, self.dt, self.span = mode.dataset, law, integ.dt, len(mode.dataset)
+    def __init__(self, ds, rows: list, law: _Law, integ: Integrator):
+        self.ds, self.law, self.dt, self.span = ds, law, integ.dt, len(ds)
+        self.rows = rows  # (Sample, target) per dataset row
 
     def measure(self, runs: _Runs, noise, n: int, t: float):
-        E, errs = [], []
-        for j in range(len(runs.ids)):
-            self.law.mlp.weights = runs.rows(runs.W, j)
-            E_j, mean_abs = dataset_loss(self.law.mlp, self.ds, self.law.loss)
-            E.append(E_j)
-            errs.append(mean_abs)
-        return runs.drop_diverged(t, np.array(E), np.array(errs), runs.W)
+        self.law.mlp.weights = runs.W  # one pass for every active run
+        E, errs = dataset_loss(self.law.mlp, self.ds, self.law.loss)
+        if not runs.stacked:
+            E, errs = np.array([E]), errs[None]
+        return runs.drop_diverged(t, E, errs, runs.W)
 
     def advance(self, runs: _Runs, noise) -> None:
-        for x, y_star in zip(self.ds.inputs, self.ds.targets):
+        for x, y_star in self.rows:
             if noise is not None:
-                x = noise.draw(x, runs)
-                if not len(runs.ids):
+                x = noise.draw(x.x, runs)
+                if x is None:
                     return
             runs.u = self.law.rates(runs.W, x, y_star)
             runs.W = _axpy(runs.W, self.dt, runs.u)
@@ -418,6 +433,11 @@ def integrate(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _check_targets(y_star) -> None:
+    if not np.logical_and.reduce(np.isfinite(y_star), axis=None):
+        raise ShapeError("target contains non-finite entries")
 
 
 def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
@@ -445,7 +465,9 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
                 f"sample is {mode.x.shape} -> {mode.y_star.shape}, network expects "
                 f"({work.n_inputs},) -> ({work.n_outputs},)"
             )
-        flow = _Theory(mode, _Law(work, loss, gains, law), integ)
+        _check_targets(mode.y_star)
+        flow = _Theory(Sample(mode.x, work.n_inputs), mode.y_star,
+                       _Law(work, loss, gains, law), integ)
     elif isinstance(mode, EpochFlow):
         ds = mode.dataset
         if ds.n_features != work.n_inputs or ds.n_targets != work.n_outputs:
@@ -456,7 +478,9 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
         if noises and noises[0].redraw_every != 1:
             raise ModeError("epoch mode draws fresh noise for every sample; "
                             "redraw_every must be 1")
-        flow = _Epochs(mode, _Law(work, loss, gains, law), integ)
+        _check_targets(ds.targets)
+        rows = [(Sample(x, work.n_inputs), y) for x, y in zip(ds.inputs, ds.targets)]
+        flow = _Epochs(ds, rows, _Law(work, loss, gains, law), integ)
     else:
         raise ModeError(f"unknown train mode {type(mode).__name__}")
     last = n_steps // flow.span

@@ -13,6 +13,12 @@ through its own BLAS call, so a run rounds exactly as it would alone.
 
 Pre-activations are clamped to +/-30 before any exponential is taken, both
 in the sigmoid and in the control laws that use its reciprocal slope.
+
+An input is checked once, when it becomes a ``Sample``: finite, shaped
+(n,) or (runs, n), with its bias entry appended.  An integration builds its
+Samples when the flow is built, so its RK4 stages skip the checks;
+``forward`` on a plain array builds the Sample itself and raises the same
+errors.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "PREACT_CLAMP",
     "Activation",
     "Mlp",
+    "Sample",
     "ForwardTrace",
     "Deltas",
     "forward",
@@ -160,51 +167,93 @@ def _with_bias(v: np.ndarray) -> np.ndarray:
     return z
 
 
+class Sample:
+    """A checked network input: one sample (n,) or one sample per run (R, n).
+
+    ``x`` is the input as floats and ``z`` the same input with the bias
+    entry appended (read-only: every forward pass on the Sample shares it as
+    its acts[0]).  ``direction(k)`` is -k * sign(x), the direction the
+    single-neuron law moves the input weights along at gain k.
+    """
+
+    def __init__(self, x, n_inputs: int):
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (n_inputs,) or x.ndim > 2:
+            raise ShapeError(
+                f"expected input of shape ({n_inputs},) or (runs, {n_inputs}), got {x.shape}")
+        if not np.logical_and.reduce(np.isfinite(x), axis=None):
+            raise ShapeError("input contains non-finite entries")
+        self._wrap(x)
+
+    @classmethod
+    def trusted(cls, x: np.ndarray) -> "Sample":
+        """A Sample of a float array the caller has already checked."""
+        sample = cls.__new__(cls)
+        sample._wrap(x)
+        return sample
+
+    def _wrap(self, x: np.ndarray) -> None:
+        self.x, self.z, self._k = x, _with_bias(x), None
+        self.z.flags.writeable = False
+
+    def direction(self, k: float) -> np.ndarray:
+        """-k * sign(x), computed once for each new gain k."""
+        if k != self._k:
+            self._direction, self._k = -k * np.sign(self.x), k
+        return self._direction
+
+
 def forward(mlp: Mlp, x) -> ForwardTrace:
     """One forward pass; x is one sample (n,) or one sample per run (R, n).
 
-    With stacked weights a single sample (n,) is shared by every run.
+    With stacked weights a single sample (n,) is shared by every run.  x may
+    be a Sample, whose checks and bias column are then reused as they are.
     """
-    x = np.asarray(x, dtype=float)
-    n = mlp.n_inputs
-    if x.shape[-1:] != (n,) or x.ndim > 2:
-        raise ShapeError(f"expected input of shape ({n},) or (runs, {n}), got {x.shape}")
-    if not np.logical_and.reduce(np.isfinite(x), axis=None):
-        raise ShapeError("input contains non-finite entries")
-
-    acts, preacts, y = [], [], x
+    sample = x if isinstance(x, Sample) else Sample(x, mlp.n_inputs)
+    acts, preacts, y = [], [], None
     for w, act in zip(mlp.weights, mlp.activations):
-        z = _with_bias(y)
+        z = sample.z if y is None else _with_bias(y)
         acts.append(z)
         # one matrix-vector BLAS call per run; per-run inputs need a trailing
         # unit axis to pair each run's weights with its own input
         a = w @ z if z.ndim == 1 else (w @ z[..., None])[..., 0]
         preacts.append(a)
         y = act.apply(a)
-    return ForwardTrace(x, preacts, acts, y)
+    return ForwardTrace(sample.x, preacts, acts, y)
 
 
-def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss) -> Deltas:
+def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss, e=None) -> Deltas:
     """Per-layer pre-activation sensitivities of the loss.
 
     Output layer: delta = act'(a) * dE/de evaluated at e = y - y_star.
     Hidden layer l: delta_l = act'(a_l) * (W_{l+1} without its bias column)^T
     applied to delta_{l+1}; the bias column never feeds back because the
     constant entry is not a function of earlier layers.  Each slope act'(a)
-    comes from the activation the forward pass stored, not a second sigmoid.
+    comes from the activation the forward pass stored, not a second sigmoid;
+    an identity layer's slope of 1 is not multiplied in at all.
+
+    A caller that has checked y_star once and already holds the error
+    e = trace.y - y_star passes it as `e`; y_star is then not read.
     """
-    y_star = np.asarray(y_star, dtype=float)
-    if y_star.shape[-1:] != (mlp.n_outputs,):
-        raise ShapeError(f"expected target of shape ({mlp.n_outputs},), got {y_star.shape}")
-    e = trace.y - y_star
+    if e is None:
+        y_star = np.asarray(y_star, dtype=float)
+        if y_star.shape[-1:] != (mlp.n_outputs,):
+            raise ShapeError(
+                f"expected target of shape ({mlp.n_outputs},), got {y_star.shape}")
+        e = trace.y - y_star
     grad = np.asarray(loss.error_grad(e), dtype=float)
     deltas = [None] * mlp.n_layers
-    deltas[-1] = mlp.activations[-1].slope(trace.y) * grad
+    deltas[-1] = _times_slope(mlp.activations[-1], trace.y, grad)
     for l in range(mlp.n_layers - 2, -1, -1):
         w_t, d = np.swapaxes(mlp.weights[l + 1][..., :-1], -1, -2), deltas[l + 1]
         back = w_t @ d if d.ndim == 1 else (w_t @ d[..., None])[..., 0]
-        deltas[l] = mlp.activations[l].slope(trace.acts[l + 1][..., :-1]) * back
+        deltas[l] = _times_slope(mlp.activations[l], trace.acts[l + 1][..., :-1], back)
     return deltas
+
+
+def _times_slope(act: Activation, s, v):
+    """act's slope at output s times v; 1.0 * v is v to the bit."""
+    return v if act is Activation.IDENTITY else act.slope(s) * v
 
 
 def loss_gradient(deltas: Deltas, trace: ForwardTrace) -> list:

@@ -93,6 +93,28 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     assert "gains.q" in err and "y_star" in err
 
 
+BLOBS = "data.source = blobs\ndata.per_class = 5\nnet.init = zeros\n"  # 4 -> 1, 10 rows
+
+
+@pytest.mark.parametrize("command", ["train", "bound"])
+@pytest.mark.parametrize("text,message", [
+    pytest.param("net.layers = 4, 1\nmode.sample = 1000\n",
+                 "mode.sample = 1000 is out of range", id="sample-past-the-end"),
+    pytest.param("net.layers = 4, 1\nmode.sample = -1\n",
+                 "mode.sample = -1 is out of range", id="negative-sample"),
+    pytest.param("net.layers = 2, 1\nmode.sample = 0\n",
+                 "4 features, net.layers expects 2 inputs", id="sample-too-wide"),
+    pytest.param("net.layers = 3, 1\nmode.kind = epoch\n",
+                 "4 features, net.layers expects 3 inputs", id="epoch-too-wide"),
+    pytest.param("net.layers = 4, 2\nmode.kind = epoch\nloss.kind = l2\n",
+                 "1 targets, net.layers expects 2 outputs", id="epoch-too-few-targets"),
+])
+def test_data_that_does_not_fit_the_run_exits_2(tmp_path, capsys, command, text, message):
+    cfg = _write(tmp_path, BLOBS + "integ.dt = 1e-3\ninteg.t_max = 0.05\n" + text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bound_command_reports_certificate(tmp_path, capsys):
     cfg = _write(tmp_path, SINGLE_NEURON)
     out = tmp_path / "out"

@@ -8,10 +8,13 @@ from lyapflow import (
     GainSchedule,
     HorizonError,
     Integrator,
+    L1Loss,
     L2Loss,
     LyapunovLoss,
     Mlp,
     ModeError,
+    Sample,
+    ShapeError,
     StoppingRule,
     TheoryFlow,
     Trajectory,
@@ -20,6 +23,7 @@ from lyapflow import (
     gen_blobs,
     integrate,
 )
+from lyapflow import dynamics
 from lyapflow.datasets import Dataset
 from lyapflow.dynamics import _Law
 
@@ -202,6 +206,24 @@ def test_dataset_loss_matches_per_sample_loop():
         assert mean_abs[0] == pytest.approx(float(np.mean(np.abs(errs))), rel=1e-12)
 
 
+@pytest.mark.parametrize("sizes", [(4, 1), (3, 5, 2), (2, 6, 4, 3)])
+def test_stacked_dataset_loss_is_bitwise_each_run_alone(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    for rows in (1, 7, 40):
+        data = Dataset(rng.normal(0.0, 2.0, (rows, sizes[0])),
+                       rng.uniform(0.0, 1.0, (rows, sizes[-1])))
+        nets = [Mlp.random(sizes, seed=s, scale=2.0) for s in range(6)]
+        stack = nets[0].copy()
+        stack.weights = [np.stack(ws) for ws in zip(*(n.weights for n in nets))]
+        for loss in (LyapunovLoss(alpha=0.6), L2Loss(), L1Loss()):
+            total, mean_abs = dataset_loss(stack, data, loss)
+            assert total.shape == (6,) and mean_abs.shape == (6, sizes[-1])
+            for r, net in enumerate(nets):
+                E_r, mean_r = dataset_loss(net, data, loss)
+                assert total[r] == E_r
+                assert mean_abs[r].tobytes() == mean_r.tobytes()
+
+
 def test_horizon_budget_enforced():
     mlp = Mlp.zeros((2, 1))
     mode = TheoryFlow(np.array([1.0, 1.0]), np.array([0.3]))
@@ -272,6 +294,26 @@ def test_integrator_validation():
         StoppingRule(epsilon=0.0)
 
 
+@pytest.mark.parametrize("flow", ["theory", "epoch"])
+@pytest.mark.parametrize("field,message", [
+    ("inputs", "input contains non-finite entries"),
+    ("targets", "target contains non-finite entries"),
+])
+def test_a_non_finite_input_is_refused_before_the_first_step(monkeypatch, flow, field,
+                                                             message):
+    data = gen_blobs(seed=2, per_class=3, separation=3.0)
+    getattr(data, field)[1, -1] = np.nan  # the Dataset checked it when built
+    mode = (EpochFlow(data) if flow == "epoch"
+            else TheoryFlow(data.inputs[1], data.targets[1]))
+    evaluations = []
+    monkeypatch.setattr(dynamics, "forward", lambda *a: evaluations.append(a))
+    with pytest.raises(ShapeError, match=message):
+        integrate(Mlp.zeros((4, 1)), mode, LyapunovLoss.single_neuron(ALPHA),
+                  GainSchedule.uniform(1.0), Integrator(method="euler", dt=1e-3, t_max=0.1),
+                  StoppingRule())
+    assert evaluations == []
+
+
 def test_monotone_violation_counter():
     traj = _fake_traj([0, 1, 2, 3], [1.0, 0.5, 0.6, 0.4])
     assert traj.monotone_violations() == 1
@@ -292,12 +334,16 @@ def test_law_rates_are_bitwise_the_eval_signal(sizes, out_act, loss, kind):
         assert law.kind == kind
         weights = [rng.uniform(-2.0, 2.0, w.shape) for w in mlp.weights]
         x = rng.uniform(-1.0, 1.0, sizes[0])
+        x[seed % sizes[0]] = 0.0  # sign(x) = 0 freezes that weight
         y_star = rng.uniform(-1.0, 1.0, sizes[-1])
+        # the plain array is checked and bias-augmented at every evaluation,
+        # the Sample once; the signal is the same to the bit
         expected = law.eval(weights, x, y_star)[2]
-        got = law.rates(weights, x, y_star)
-        assert len(got) == len(expected)
-        for u, v in zip(got, expected):
-            assert u.shape == v.shape and u.tobytes() == v.tobytes()
+        sample = Sample(x, sizes[0])
+        for got in (law.eval(weights, sample, y_star)[2], law.rates(weights, sample, y_star)):
+            assert len(got) == len(expected)
+            for u, v in zip(got, expected):
+                assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def _count_lyapunov_evaluations(monkeypatch) -> list:

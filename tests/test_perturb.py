@@ -1,3 +1,4 @@
+import contextlib
 import re
 
 import numpy as np
@@ -23,6 +24,7 @@ from lyapflow import (
     integrate,
     robustness_sweep,
 )
+from lyapflow import control, dynamics, net
 from lyapflow.cli import main
 from lyapflow.datasets import Dataset
 from lyapflow.perturb import robustness_run
@@ -272,6 +274,29 @@ def _same_trajectory(a, b) -> bool:
             == [w.tobytes() for w in b.final_weights])
 
 
+@contextlib.contextmanager
+def _plain_inputs():
+    """Integrate on the plain-array path: every law evaluation hands forward
+    and the single-neuron law the bare input array, so each re-checks it,
+    re-appends its bias entry and takes its sign, and sensitivities derives
+    the error from y* again."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "forward", lambda mlp, x: net.forward(mlp, x.x))
+        mp.setattr(dynamics, "single_neuron_update",
+                   lambda x, *args, **kw: control.single_neuron_update(x.x, *args, **kw))
+        mp.setattr(dynamics, "sensitivities",
+                   lambda mlp, trace, y_star, loss, e: net.sensitivities(mlp, trace, y_star, loss))
+        yield
+
+
+def _runs(mlp, mode, loss, gains, integ, stop, specs) -> list:
+    """The noise-free run and the stacked sweep over `specs`, each a
+    Trajectory or the error that stopped it."""
+    noiseless = dynamics.integrate_batch(mlp, mode, loss, gains, integ, stop)
+    return noiseless + dynamics.integrate_batch(mlp, mode, loss, gains, integ, stop,
+                                                noises=specs)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     law=st.sampled_from(["single_neuron", "mlp", "baseline"]),
@@ -290,6 +315,16 @@ def test_a_level_in_a_batch_is_bitwise_the_level_alone(law, flow, envelope, leve
     specs = [PerturbationSpec(envelope, M, alpha=0.7 if envelope == "vanishing" else None,
                               seed=seed, redraw_every=1 if flow == "epoch" else redraw_every)
              for M in levels]
+    # checking each input once, when the flow is built, changes no bit: the
+    # lone noise-free run and every run of the stack match the plain path
+    checked_once = _runs(mlp, mode, loss, gains, integ, stop, specs)
+    with _plain_inputs():
+        plain = _runs(mlp, mode, loss, gains, integ, stop, specs)
+    for a, b in zip(checked_once, plain):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+        else:
+            assert _same_trajectory(a, b)
     alone = []
     for spec in specs:
         try:
