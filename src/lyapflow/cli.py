@@ -37,6 +37,7 @@ from .dynamics import (
     TheoryFlow,
     initial_loss,
     integrate,
+    integrate_batch,
     select_law,
 )
 from .errors import AssumptionError, ConfigError, LyapflowError
@@ -207,6 +208,15 @@ def _plot_series(out: Path, series, title: str) -> None:
 # ---------------------------------------------------------------- commands
 
 
+def _delivered(outcomes):
+    """Each run's trajectory in order; a failed run raises its error when
+    reached, as if the runs had been integrated one after another."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
+
+
 def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
     prob = resolve(cfg, args)
     loss, spec = prob.loss, prob.noise
@@ -260,12 +270,10 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
     # the time step comes from the noise-free Lyapunov row's certificate
     integ = _build_integrator(cfg, prob.certificate(None)[0])
 
-    runs = []
-    for loss in (prob.loss, L1Loss(), L2Loss()):
-        law = prob.law if loss is prob.loss else "baseline"
-        traj = integrate(prob.mlp, prob.mode, loss, prob.gains, integ, prob.stop,
-                         law=law)
-        runs.append((loss.name, traj))
+    losses = [prob.loss, L1Loss(), L2Loss()]
+    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, integ, prob.stop,
+                            law=[prob.law, "baseline", "baseline"])
+    runs = [(loss.name, traj) for loss, traj in zip(losses, _delivered(trajs))]
 
     lines = [
         "command = compare",
@@ -372,15 +380,16 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     if prob.law == "baseline":
         raise ConfigError(["alpha-sweep needs loss.kind = lyapunov"])
     integ = _build_integrator(cfg, None)
+    # every level's loss is built, or refused, before the first row prints
+    losses = [_build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a) for a in cfg.alphas]
+    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, integ, prob.stop,
+                            law=prob.law)
 
     lines = ["command = alpha-sweep", f"seed = {cfg.seed}",
              f"levels = {len(cfg.alphas)}"]
     series = []
     print(f"{'alpha':>7s} {'violations':>10s} {'settled_at':>12s} {'final_E':>12s}")
-    for i, a in enumerate(cfg.alphas):
-        loss = _build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a)
-        traj = integrate(prob.mlp, prob.mode, loss, prob.gains, integ, prob.stop,
-                         law=prob.law)
+    for i, (a, traj) in enumerate(zip(cfg.alphas, _delivered(trajs))):
         p = f"row{i}."
         lines.append(f"{p}alpha = {_num(a)}")
         lines += _traj_lines(p, traj)
@@ -390,9 +399,8 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
         print(f"{a:7.3g} {traj.monotone_violations():>10d} "
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
               f"{traj.E[-1]:12.6g}")
-        last_traj = traj
     _write_kv(out / "summary.kv", lines)
-    last_traj.to_csv(out / "trajectory.csv")
+    traj.to_csv(out / "trajectory.csv")
     _plot_series(out, series, title="stability across alpha")
     return 0
 

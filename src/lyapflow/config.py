@@ -59,6 +59,13 @@ def _positive(s: str) -> float:
     return v
 
 
+def _finite(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {s!r}")
+    return v
+
+
 def _bool(s: str) -> bool:
     low = s.lower()
     if low in ("true", "yes", "1", "on"):
@@ -158,7 +165,7 @@ _KEYS = {
     "net.layers": ("layers", _list(_int)),
     "net.output_activation": ("output_activation", _choice("sigmoid", "identity")),
     "net.init": ("init", _choice("random", "zeros")),
-    "net.scale": ("init_scale", float),
+    "net.scale": ("init_scale", _positive),
     "loss.kind": ("loss_kind", _choice("lyapunov", "l1", "l2")),
     "loss.alpha": ("alpha", float),
     "loss.beta": ("beta", float),
@@ -171,8 +178,8 @@ _KEYS = {
     "integ.step_budget": ("step_budget", _count),
     "stop.epsilon": ("epsilon", _positive),
     "mode.kind": ("mode", _choice("theory", "epoch")),
-    "mode.x": ("x", _list(float)),
-    "mode.y_star": ("y_star", _list(float)),
+    "mode.x": ("x", _list(_finite)),
+    "mode.y_star": ("y_star", _list(_finite)),
     "mode.sample": ("sample_index", _int),
     "data.source": ("data_source", _choice("none", "blobs", "linreg", "csv")),
     "data.per_class": ("per_class", _int),
@@ -257,6 +264,8 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
     levels = cfg.m_values + ((cfg.perturb_m,) if cfg.perturb_m is not None else ())
     if any(not 0.0 <= m < math.inf for m in levels):
         probs.append(f"{source}: perturb.M and sweep.m_values must be finite and >= 0")
+    if any(not 0.0 <= a < 1.0 for a in cfg.alphas):
+        probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
     alpha = cfg.perturb_alpha  # amplitude noise ignores it
     if cfg.perturb_mode != "amplitude" and alpha is not None and not 0.0 <= alpha < 1.0:
         probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")

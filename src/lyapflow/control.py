@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LyapunovLoss, sgnpow
-from .net import PREACT_CLAMP, ForwardTrace, Sample, loss_gradient
+from .net import PREACT_CLAMP, Sample
 
 __all__ = [
     "GainSchedule",
@@ -106,13 +106,14 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     return [rate]
 
 
-def mlp_update(deltas, trace: ForwardTrace, E: float, gains: GainSchedule,
+def mlp_update(grad, E: float, gains: GainSchedule,
                loss: LyapunovLoss) -> ControlSignal:
-    """Layered law: dW_l/dt = -k * sgnpow(delta_l z_l^T, alpha) * E**beta.
+    """Layered law: dW_l/dt = -k * sgnpow(dE/dW_l, alpha) * E**beta.
 
-    Bias columns are updated like any other weight (their activation entry
-    is the constant 1).  Valid for alpha + beta < 1.  E is one value per run
-    for a stack of runs.
+    `grad` is dE/dW per layer (``net.loss_gradient``), the input gradient
+    flow takes as well.  Bias columns are updated like any other weight
+    (their activation entry is the constant 1).  Valid for alpha + beta < 1.
+    E is one value per run for a stack of runs.
     """
     stacked = isinstance(E, np.ndarray) and E.ndim > 0
     values = E.tolist() if stacked else [E]
@@ -125,9 +126,8 @@ def mlp_update(deltas, trace: ForwardTrace, E: float, gains: GainSchedule,
     # libm's pow, one run at a time: numpy's vectorised power may round the
     # last bit differently, and the weights would drift from a lone run's
     powers = [v ** loss.beta for v in values]
-    scale = np.reshape(powers, (-1, 1, 1)) if stacked else powers[0]
-    return [-gains.scalar * sgnpow(sens, loss.alpha) * scale
-            for sens in loss_gradient(deltas, trace)]
+    scale = np.array(powers).reshape(-1, 1, 1) if stacked else powers[0]
+    return [-gains.scalar * sgnpow(g, loss.alpha) * scale for g in grad]
 
 
 def gradient_flow_update(grad, gains: GainSchedule) -> ControlSignal:

@@ -9,9 +9,12 @@ Two run modes:
   engineering analogue of discrete training and carries no certificate.
 
 One loop integrates both modes for a stack of R runs that differ only in
-their input-noise level M.  Each weight layer is one (R, out, in+1) array,
-so a step costs one numpy call per operation whatever R is, and each run
-rounds exactly as it would alone.  A run that settles, diverges or fails
+their input-noise level M or in their loss.  Each weight layer is one
+(R, out, in+1) array, so a step costs one numpy call per operation whatever
+R is, and each run rounds exactly as it would alone.  Runs that differ in
+loss share the forward pass, the back-propagation and dE/dW; only E, dE/de
+and the law's last step run once per stretch of runs with one loss (one
+law, for gradient flow).  A run that settles, diverges or fails
 leaves the active set at once: the stack is compacted, never masked.
 ``integrate`` is the one-run case of ``integrate_batch``.
 
@@ -208,7 +211,8 @@ def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
 
 
 class _Law:
-    """(E, error, control signal) of a weight state, for one run or a stack."""
+    """(E, error, control signal) of a weight state, for one run or a stack
+    of runs that share one loss."""
 
     def __init__(self, mlp: Mlp, loss, gains: GainSchedule, law: str):
         self.mlp, self.loss, self.gains = mlp, loss, gains
@@ -228,15 +232,96 @@ class _Law:
         if self.kind == "single_neuron":
             return E, e, single_neuron_update(x, e[..., 0], trace.preacts[0][..., 0],
                                               self.gains, rate_scale=self.rate_scale)
-        d = sensitivities(self.mlp, trace, y_star, self.loss, e)
+        grad = loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace)
         if self.kind == "mlp":
-            return E, e, mlp_update(d, trace, E, self.gains, self.loss)
-        return E, e, gradient_flow_update(loss_gradient(d, trace), self.gains)
+            return E, e, mlp_update(grad, E, self.gains, self.loss)
+        return E, e, gradient_flow_update(grad, self.gains)
 
     def rates(self, weights, x, y_star):
         """The control signal alone, as an RK4 stage or an epoch step needs it;
         E is evaluated only for the layered law, whose rate scales with E**beta."""
         return self.eval(weights, x, y_star, with_E=False)[2]
+
+    def keep(self, keep) -> None:
+        """Compaction kept the runs where `keep` is set; one loss serves them all."""
+
+
+def _spans(keys) -> list:
+    """(key, slice) for each stretch of equal consecutive keys, in order."""
+    spans, start = [], 0
+    for i in range(1, len(keys) + 1):
+        if i == len(keys) or keys[i] != keys[start]:
+            spans.append((keys[start], slice(start, i)))
+            start = i
+    return spans
+
+
+def _joined(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class _Losses:
+    """One loss per run of a stack, used as one loss: each stretch of runs
+    that share a loss is evaluated by it alone, along the run axis."""
+
+    def __init__(self, losses):
+        self.losses = list(losses)
+        self.spans = _spans(self.losses)
+
+    def evaluate(self, e):
+        return _joined([loss.evaluate(e[s]) for loss, s in self.spans])
+
+    def error_grad(self, e):
+        return _joined([loss.error_grad(e[s]) for loss, s in self.spans])
+
+
+class _Laws(_Law):
+    """The law of a stack whose runs differ in loss, and so maybe in law.
+
+    The forward pass, the back-propagation through the hidden layers and
+    dE/dW run once for the whole stack.  Only E, dE/de and the law's last
+    step run per stretch of runs: a layered or single-neuron stretch shares
+    its loss, a gradient-flow stretch only its law.  The stretches are
+    rebuilt only when compaction changes the active set."""
+
+    def __init__(self, mlp: Mlp, losses, gains: GainSchedule, laws):
+        self.mlp, self.loss, self.gains = mlp, _Losses(losses), gains
+        self.kinds = [select_law(mlp, isinstance(loss, LyapunovLoss), law)
+                      for loss, law in zip(losses, laws)]
+        self._group()
+
+    def _group(self) -> None:
+        # gradient flow does not read its loss: one call serves L1 and L2 rows
+        keys = [(kind, None if kind == "baseline" else loss)
+                for kind, loss in zip(self.kinds, self.loss.losses)]
+        self.groups = [(kind, loss, s, lyapunov_rate_scale(loss.alpha)
+                        if kind == "single_neuron" else None)
+                       for (kind, loss), s in _spans(keys)]
+        self.backprop = any(kind != "single_neuron" for kind in self.kinds)
+
+    def keep(self, keep) -> None:
+        self.kinds = [kind for kind, kept in zip(self.kinds, keep) if kept]
+        self.loss = _Losses(loss for loss, kept in zip(self.loss.losses, keep) if kept)
+        self._group()
+
+    def eval(self, weights, x: Sample, y_star, with_E: bool = True) -> tuple:
+        self.mlp.weights = weights
+        trace = forward(self.mlp, x)
+        e = trace.y - y_star
+        E = self.loss.evaluate(e[:, None, :]) if with_E else None
+        if self.backprop:
+            grad = loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace)
+        parts = []
+        for kind, loss, s, rate_scale in self.groups:
+            if kind == "single_neuron":
+                parts.append(single_neuron_update(x, e[s, 0], trace.preacts[0][s, 0],
+                                                  self.gains, rate_scale=rate_scale))
+            elif kind == "mlp":
+                E_s = loss.evaluate(e[s, None, :]) if E is None else E[s]
+                parts.append(mlp_update([g[s] for g in grad], E_s, self.gains, loss))
+            else:
+                parts.append(gradient_flow_update([g[s] for g in grad], self.gains))
+        return E, e, [_joined(layer) for layer in zip(*parts)]
 
 
 def _axpy(w, a: float, u):
@@ -264,8 +349,8 @@ class _Runs:
     per-call cost is lower.  Kept at one run, the axis made single-neuron
     training about 20% slower and a 4-8-1 compare about 10% slower."""
 
-    def __init__(self, weights, count: int, x):
-        self.ids, self.stacked = np.arange(count), count > 1
+    def __init__(self, weights, count: int, x, law: _Law):
+        self.ids, self.stacked, self.law = np.arange(count), count > 1, law
         self.W = [np.repeat(w[None], count, axis=0) for w in weights] if self.stacked else weights
         self.x, self.u = x, None    # Sample, shared or one row per run; last signal
         self.done = [None] * count  # (settled_at, final weights) or an error
@@ -287,6 +372,7 @@ class _Runs:
             self.u = None if self.u is None else [v[keep] for v in self.u]
             if self.x is not None and self.x.x.ndim == 2:
                 self.x = Sample.trusted(self.x.x[keep])
+            self.law.keep(keep)
 
     def drop_diverged(self, t: float, E, errs, state):
         """Drop the runs whose E or state (one stack per layer) is not finite."""
@@ -441,17 +527,19 @@ def _check_targets(y_star) -> None:
 
 
 def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
-                    stop: StoppingRule, law: str = "auto", noises=None,
+                    stop: StoppingRule, law="auto", noises=None,
                     noise_rng=None) -> list:
-    """Integrate one flow from `mlp` once per noise spec, as one stack.
+    """Integrate one flow from `mlp` once per run, as one stack.
 
+    The runs differ in their noise level or in their loss, never in both.
     Run r perturbs its inputs by `noises[r]` (one noise-free run if `noises`
-    is None).  The specs may differ only in M; the runs share one noise
-    stream, the same unit draws scaled by each run's envelope.  Returns one
-    entry per run: its Trajectory, or the error that stopped it alone --
-    DivergenceError, ShapeError for a non-finite perturbed input or
-    OverflowError for a non-finite draw range.  Errors that concern every
-    run (step budget, shapes, law) are raised.
+    is None); the specs may differ only in M, and the runs share one noise
+    stream, the same unit draws scaled by each run's envelope.  Or `loss` is
+    a list of one loss per run, and `law` one law name for every run or a
+    list of one per run.  Returns one entry per run: its Trajectory, or the
+    error that stopped it alone -- DivergenceError, ShapeError for a
+    non-finite perturbed input or OverflowError for a non-finite draw range.
+    Errors that concern every run (step budget, shapes, law) are raised.
     """
     n_steps = math.ceil(integ.t_max / integ.dt - 1e-12)
     if n_steps > integ.step_budget:
@@ -459,6 +547,17 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
             f"t_max/dt = {n_steps} steps exceeds the budget of {integ.step_budget}"
         )
     work = mlp.copy()
+    if not isinstance(loss, (list, tuple)):
+        count, rule = 1 if noises is None else len(noises), _Law(work, loss, gains, law)
+    elif noises:
+        raise ValueError("the runs of a stack differ in noise level or in loss, not both")
+    else:
+        laws = [law] * len(loss) if isinstance(law, str) else law
+        if len(laws) != len(loss):
+            raise ValueError(f"{len(loss)} losses but {len(laws)} laws")
+        count = len(loss)
+        rule = (_Laws(work, loss, gains, laws) if count > 1
+                else _Law(work, loss[0], gains, laws[0]))
     if isinstance(mode, TheoryFlow):
         if mode.x.shape != (work.n_inputs,) or mode.y_star.shape != (work.n_outputs,):
             raise ShapeError(
@@ -466,8 +565,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
                 f"({work.n_inputs},) -> ({work.n_outputs},)"
             )
         _check_targets(mode.y_star)
-        flow = _Theory(Sample(mode.x, work.n_inputs), mode.y_star,
-                       _Law(work, loss, gains, law), integ)
+        flow = _Theory(Sample(mode.x, work.n_inputs), mode.y_star, rule, integ)
     elif isinstance(mode, EpochFlow):
         ds = mode.dataset
         if ds.n_features != work.n_inputs or ds.n_targets != work.n_outputs:
@@ -480,7 +578,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
                             "redraw_every must be 1")
         _check_targets(ds.targets)
         rows = [(Sample(x, work.n_inputs), y) for x, y in zip(ds.inputs, ds.targets)]
-        flow = _Epochs(ds, rows, _Law(work, loss, gains, law), integ)
+        flow = _Epochs(ds, rows, rule, integ)
     else:
         raise ModeError(f"unknown train mode {type(mode).__name__}")
     last = n_steps // flow.span
@@ -489,7 +587,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
             f"t_max/dt = {n_steps} steps is less than one epoch of {flow.span} samples"
         )
 
-    runs = _Runs(work.weights, 1 if noises is None else len(noises), getattr(flow, "x", None))
+    runs = _Runs(work.weights, count, getattr(flow, "x", None), rule)
     noise = None if noises is None else _Noise(noises, noise_rng)
     # overflow in a diverging state is expected; the finite checks report it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -84,3 +84,21 @@ def test_traced_epoch_sweep_sees_every_law_evaluation(tmp_path):
     # one stacked dataset pass per epoch checkpoint, beside the E0 of the
     # resolver and of the sweep's certificates
     assert calls["dynamics.dataset_loss"] == (epochs + 1) + 2
+
+
+def test_traced_compare_stacks_its_rows(tmp_path):
+    calls = _traced_calls(tmp_path, "compare", (
+        "net.layers = 3, 4, 1\nnet.output_activation = identity\nnet.init = random\n"
+        "loss.alpha = 0.7\ngains.k = 1\ninteg.method = rk4\ninteg.dt = 1e-3\n"
+        "integ.t_max = 0.02\ninteg.record_stride = 1\nmode.x = 0.5, -0.2, 0.9\n"
+        "mode.y_star = -3\nrun.seed = 1\n"))
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    steps = len(rows) - 2  # the Lyapunov row; no row settles this early
+    evaluations = 4 * steps + 1
+    # the Lyapunov, L1 and L2 rows share one forward pass and one
+    # back-propagation per evaluation, beside the resolver's E0
+    assert calls["net.forward"] == evaluations + 1
+    assert calls["net.sensitivities"] == evaluations
+    assert calls["control.mlp_update"] == evaluations
+    # one gradient-flow call serves the L1 and L2 rows together
+    assert calls["control.gradient_flow_update"] == evaluations

@@ -269,6 +269,25 @@ def test_alpha_sweep_guards_alpha_zero(tmp_path, capsys):
     assert kv["row1.settled"] == "true"
 
 
+@pytest.mark.parametrize("net,levels,reason", [
+    ("", "sweep.alphas = 0.5, 1.5\n", "sweep.alphas entries must be finite"),
+    ("", "sweep.alphas = 0.5, nan\n", "sweep.alphas entries must be finite"),
+    # the second level's loss is refused: alpha + beta >= 1 on the layered law
+    ("net.layers = 4, 3, 1\nnet.output_activation = identity\n",
+     "loss.alpha = 0.3\nloss.beta = 0.5\nsweep.alphas = 0.3, 0.8\n", "alpha + beta < 1"),
+])
+def test_alpha_sweep_refuses_a_bad_level_before_any_row(tmp_path, capsys, net, levels, reason):
+    # a bad level once ran and printed the levels before it, then exited 2
+    cfg = _write(tmp_path, (net or "net.layers = 4, 1\nnet.init = zeros\n")
+                 + "integ.method = euler\ninteg.dt = 1e-4\ninteg.t_max = 0.01\n"
+                 "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n" + levels)
+    assert main(["alpha-sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reason in captured.err
+    assert not (tmp_path / "out" / "summary.kv").exists()
+
+
 def test_perturb_sweep_flags_unguaranteed_level(tmp_path, capsys):
     cfg = _write(
         tmp_path,

@@ -185,6 +185,8 @@ def test_noise_levels_are_checked_when_read():
     "integ.dt = nan",
     "gains.k = inf",
     "stop.epsilon = nan",
+    "net.scale = nan",
+    "net.scale = inf",
 ])
 def test_unusable_values_exit_2_when_read(tmp_path, capsys, line):
     # each of these once passed the config and then died in the run with a
@@ -217,3 +219,21 @@ def test_load_config_reads_file(tmp_path):
     path.write_text("nonsense line\n")
     with pytest.raises(ConfigError, match="run.kv:1"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("mode.x", "nan, -0.6, 0.8, 0.4"),
+    ("mode.x", "1, -0.6, inf, 0.4"),
+    ("mode.y_star", "nan"),
+    ("mode.y_star", "-inf"),
+])
+def test_non_finite_sample_exits_2_when_read(tmp_path, capsys, key, value):
+    # a non-finite input or target once passed the config and then failed
+    # the run with exit 1 from the flow
+    given = {"mode.x": "1, -0.6, 0.8, 0.4", "mode.y_star": "0.48", key: value}
+    path = tmp_path / "run.kv"
+    path.write_text("net.layers = 4, 1\n"
+                    + "".join(f"{k} = {v}\n" for k, v in given.items()))
+    assert main(["bound", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"bad value for '{key}': must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -97,7 +97,7 @@ def test_mlp_update_single_weight_example():
     mlp = Mlp([np.array([[1.0, 0.0]])], (Activation.SIGMOID,))
     trace = forward(mlp, np.array([1.0]))
     loss = LyapunovLoss.multilayer(0.7, beta=0.25)
-    u = mlp_update([np.array([1.0])], trace, E=1.0,
+    u = mlp_update(loss_gradient([np.array([1.0])], trace), E=1.0,
                    gains=GainSchedule.uniform(1.0), loss=loss)
     assert u[0][0, 0] == pytest.approx(-1.0, rel=1e-15)   # z entry is x = 1
     assert u[0][0, 1] == pytest.approx(-1.0, rel=1e-15)   # bias entry is 1
@@ -116,7 +116,7 @@ def test_mlp_update_loss_rate_identity():
         deltas = sensitivities(mlp, trace, y_star, loss)
         grads = loss_gradient(deltas, trace)
         k = 1.3
-        u = mlp_update(deltas, trace, E, GainSchedule.uniform(k), loss)
+        u = mlp_update(grads, E, GainSchedule.uniform(k), loss)
         lhs = sum(float(np.sum(g * ui)) for g, ui in zip(grads, u))
         rhs = -k * E ** loss.beta * sum(
             float(np.sum(np.abs(g) ** (loss.alpha + 1.0))) for g in grads
@@ -132,7 +132,7 @@ def test_mlp_update_euler_microstep_decreases_loss():
     trace = forward(mlp, x)
     E0 = loss.evaluate(trace.y - y_star)
     deltas = sensitivities(mlp, trace, y_star, loss)
-    u = mlp_update(deltas, trace, E0, GainSchedule.uniform(1.0), loss)
+    u = mlp_update(loss_gradient(deltas, trace), E0, GainSchedule.uniform(1.0), loss)
     h = 1e-7
     stepped = mlp.copy()
     stepped.weights = [w + h * ui for w, ui in zip(stepped.weights, u)]
@@ -150,12 +150,12 @@ def test_mlp_update_validation():
     loss = LyapunovLoss.multilayer(0.7)
     mlp = Mlp.random((2, 1), seed=0)
     trace = forward(mlp, np.zeros(2))
-    deltas = sensitivities(mlp, trace, np.array([0.2]), loss)
+    grads = loss_gradient(sensitivities(mlp, trace, np.array([0.2]), loss), trace)
     with pytest.raises(ValueError):
-        mlp_update(deltas, trace, -1.0, GainSchedule.uniform(1.0), loss)
+        mlp_update(grads, -1.0, GainSchedule.uniform(1.0), loss)
     bad = LyapunovLoss(alpha=0.7)  # beta defaults to 7/17, alpha+beta > 1
     with pytest.raises(ValueError):
-        mlp_update(deltas, trace, 1.0, GainSchedule.uniform(1.0), bad)
+        mlp_update(grads, 1.0, GainSchedule.uniform(1.0), bad)
 
 
 def test_gain_homogeneity_is_exact():
@@ -168,10 +168,10 @@ def test_gain_homogeneity_is_exact():
     loss = LyapunovLoss.multilayer(0.5)
     mlp = Mlp.random((3, 4, 1), seed=9)
     trace = forward(mlp, x)
-    deltas = sensitivities(mlp, trace, np.array([0.8]), loss)
+    grads = loss_gradient(sensitivities(mlp, trace, np.array([0.8]), loss), trace)
     E = loss.evaluate(trace.y - np.array([0.8]))
-    m1 = mlp_update(deltas, trace, E, GainSchedule.uniform(1.0), loss)
-    m2 = mlp_update(deltas, trace, E, GainSchedule.uniform(2.0), loss)
+    m1 = mlp_update(grads, E, GainSchedule.uniform(1.0), loss)
+    m2 = mlp_update(grads, E, GainSchedule.uniform(2.0), loss)
     for a, b in zip(m1, m2):
         assert np.array_equal(2.0 * a, b)
 
@@ -223,14 +223,15 @@ def test_stacked_laws_are_bitwise_each_run_alone():
     E = loss.evaluate((trace.y - y_star)[:, None, :])
     deltas = sensitivities(stack, trace, y_star, loss)
     gains = GainSchedule.uniform(1.3)
-    layered = mlp_update(deltas, trace, E, gains, loss)
-    flow = gradient_flow_update(loss_gradient(deltas, trace), gains)
+    grads = loss_gradient(deltas, trace)
+    layered = mlp_update(grads, E, gains, loss)
+    flow = gradient_flow_update(grads, gains)
     for r, net in enumerate(nets):
         alone = forward(net, xs[r])
         E_r = loss.evaluate(alone.y - y_star[r])
         assert E[r] == E_r
-        d_r = sensitivities(net, alone, y_star[r], loss)
-        for a, b in zip(layered, mlp_update(d_r, alone, E_r, gains, loss)):
+        g_r = loss_gradient(sensitivities(net, alone, y_star[r], loss), alone)
+        for a, b in zip(layered, mlp_update(g_r, E_r, gains, loss)):
             assert a[r].tobytes() == b.tobytes()
-        for a, b in zip(flow, gradient_flow_update(loss_gradient(d_r, alone), gains)):
+        for a, b in zip(flow, gradient_flow_update(g_r, gains)):
             assert a[r].tobytes() == b.tobytes()

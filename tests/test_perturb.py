@@ -12,6 +12,7 @@ from lyapflow import (
     EpochFlow,
     GainSchedule,
     Integrator,
+    L1Loss,
     L2Loss,
     LyapunovLoss,
     Mlp,
@@ -306,12 +307,29 @@ def _runs(mlp, mode, loss, gains, integ, stop, specs) -> list:
                     min_size=1, max_size=5),
     seed=st.integers(0, 2**32 - 1),
     redraw_every=st.integers(1, 3),
+    rows=st.lists(st.sampled_from([0.2, 0.45, 0.7, 0.9, "l1", "l2"]), min_size=2, max_size=5),
 )
 def test_a_level_in_a_batch_is_bitwise_the_level_alone(law, flow, envelope, levels,
-                                                        seed, redraw_every):
+                                                        seed, redraw_every, rows):
     rng = np.random.default_rng(seed)
     mlp, mode, loss, integ, stop = _property_problem(law, flow, rng)
     gains = GainSchedule.uniform(1.0)        # levels >= 1.0 reach k_min
+    # a stack whose runs differ in loss: Lyapunov rows at the drawn alphas
+    # under the problem's own law (the layered law for the L2 problem's net),
+    # L1 and L2 rows under gradient flow
+    lyapunov = (LyapunovLoss.single_neuron if law == "single_neuron"
+                else LyapunovLoss.multilayer)
+    losses = [L1Loss() if r == "l1" else L2Loss() if r == "l2" else lyapunov(r)
+              for r in rows]
+    laws = ["auto" if isinstance(l, LyapunovLoss) else "baseline" for l in losses]
+    stacked = dynamics.integrate_batch(mlp, mode, losses, gains, integ, stop, law=laws)
+    for run_loss, run_law, got in zip(losses, laws, stacked):
+        try:
+            want = integrate(mlp, mode, run_loss, gains, integ, stop, law=run_law)
+        except DivergenceError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert _same_trajectory(got, want)
     specs = [PerturbationSpec(envelope, M, alpha=0.7 if envelope == "vanishing" else None,
                               seed=seed, redraw_every=1 if flow == "epoch" else redraw_every)
              for M in levels]
