@@ -53,7 +53,7 @@ from .errors import (
 )
 from .losses import L1Loss, L2Loss, Loss, LyapunovLoss, sgnpow
 from .net import Activation, ForwardTrace, Mlp, Sample, forward, loss_gradient, sensitivities
-from .perturb import PerturbationSpec, robustness_run, robustness_sweep
+from .perturb import PerturbationSpec, robustness_run
 
 __version__ = "0.1.0"
 
@@ -100,7 +100,6 @@ __all__ = [
     "mlp_update",
     "normalize",
     "robustness_run",
-    "robustness_sweep",
     "sensitivities",
     "settling_bound",
     "sgnpow",

@@ -18,13 +18,14 @@ the single-neuron law freezes its bias weight, and a 2-3-1 layered run
 overshot its gamma = 1 certificate 17-fold.
 
 ``certify`` is the one certificate policy: it decides whether a run gets a
-certificate and of which flavor, from the run's law and its noise.
+certificate and of which flavor, from the run's law and its noise, and it
+alone marks an epoch-mode certificate ``heuristic``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,6 +89,7 @@ class SettlingBound:
     k_min: float
     flavor: str
     M: float | None = None
+    heuristic: bool = False  # an epoch-mode run, which no certificate covers
 
     def kv_lines(self) -> list:
         lines = [
@@ -100,6 +102,8 @@ class SettlingBound:
             f"M = {self.M!r}" if self.M is not None else "M = none",
             f"T = {self.T!r}",
         ]
+        if self.heuristic:
+            lines.append("heuristic = true")
         return lines
 
     def table(self) -> str:
@@ -140,14 +144,16 @@ def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
 
 
 def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
-            noise=None) -> tuple:
+            noise=None, epoch: bool = False) -> tuple:
     """(certificate, None) for a run of the resolved `law` under the input
     `noise` spec (or none), else (None, why it gets none).
 
     The flavor is 'perturbed' under vanishing noise, else the law.  Refused:
     a loss other than the Lyapunov loss, E0 <= 0, amplitude noise, M >= k_min
     and whatever else ``settling_bound`` rejects.  `gamma` is a
-    GammaEstimate or the error that stopped its estimate.
+    GammaEstimate or the error that stopped its estimate.  An `epoch`-mode
+    run steps sample by sample, which the single-sample flow's certificate
+    does not cover: its certificate is marked heuristic.
     """
     if not isinstance(loss, LyapunovLoss):
         return None, f"no certificate for {loss.name} loss"
@@ -159,7 +165,8 @@ def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
         return None, str(gamma)
     flavor, M = (law, None) if noise is None else ("perturbed", noise.M)
     try:
-        return settling_bound(E0, gains, gamma, loss, flavor=flavor, M=M), None
+        return replace(settling_bound(E0, gains, gamma, loss, flavor=flavor, M=M),
+                       heuristic=epoch), None
     except (LyapflowError, ValueError) as exc:
         return None, str(exc)
 

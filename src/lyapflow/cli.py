@@ -43,7 +43,7 @@ from .dynamics import (
 from .errors import AssumptionError, ConfigError, LyapflowError
 from .losses import L1Loss, L2Loss, LyapunovLoss
 from .net import Activation, Mlp, forward, loss_gradient, sensitivities
-from .perturb import PerturbationSpec, robustness_sweep
+from .perturb import PerturbationSpec
 from .svgplot import write_dat, write_svg
 
 __all__ = ["main"]
@@ -152,7 +152,8 @@ class Problem:
 
     def certificate(self, noise) -> tuple:
         """(bound, None) or (None, reason) for a run under `noise` (or none)."""
-        return certify(self.E0, self.gains, self.gamma, self.loss, self.law, noise)
+        return certify(self.E0, self.gains, self.gamma, self.loss, self.law, noise,
+                       epoch=isinstance(self.mode, EpochFlow))
 
 
 def resolve(cfg: ExperimentConfig, args) -> Problem:
@@ -244,8 +245,6 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
         lines += [f"perturb.mode = {spec.mode}", f"perturb.M = {_num(spec.M)}"]
     if bound is not None:
         lines += ["bound." + ln for ln in bound.kv_lines()]
-        if cfg.mode == "epoch":
-            lines.append("bound.heuristic = true")
     else:
         lines.append(f"bound = none ({refusal})")
     lines += _traj_lines("", traj)
@@ -317,14 +316,8 @@ def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
         print(f"bound: refused ({refusal})")
         return 1
     lines += ["bound." + ln for ln in bound.kv_lines()]
-    if cfg.mode == "epoch":
-        # dataset runs step sample-by-sample; the certificate only covers the
-        # single-sample flow, so flag it as indicative rather than certified.
-        lines.append("bound.heuristic = true")
     _write_kv(out / "summary.kv", lines)
     print(bound.table())
-    if cfg.mode == "epoch":
-        print("note: epoch-mode bound is heuristic (per-sample stepping)")
     return 0
 
 
@@ -335,6 +328,9 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     gains = prob.gains
     integ = _build_integrator(cfg, None)
     specs = [_build_spec(cfg, prob.loss, m_override=m) for m in cfg.m_values]
+    bounds = [prob.certificate(spec)[0] for spec in specs]
+    trajs = integrate_batch(prob.mlp, prob.mode, prob.loss, gains, integ, prob.stop,
+                            law=prob.law, noises=specs)
 
     lines = [
         "command = perturb-sweep",
@@ -344,15 +340,15 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     ]
     series = []
     print(f"{'M':>10s} {'certified':>9s} {'T_bound':>12s} {'settled_at':>12s} {'final_E':>12s}")
-    levels = robustness_sweep(prob.mlp, prob.mode, specs, gains, prob.loss, integ,
-                              prob.stop, gamma=prob.gamma, law=prob.law)
-    for i, (spec, (traj, bnd)) in enumerate(zip(specs, levels)):
+    for i, (spec, bnd, traj) in enumerate(zip(specs, bounds, _delivered(trajs))):
         m = spec.M
         certified = bnd is not None
         p = f"row{i}."
         lines += [f"{p}M = {_num(m)}", f"{p}certified = {'true' if certified else 'false'}"]
         if certified:
             lines.append(f"{p}T_bound = {_num(bnd.T)}")
+            if bnd.heuristic:
+                lines.append(f"{p}heuristic = true")
         else:
             lines.append(f"{p}T_bound = none")
             if spec.mode == "vanishing" and m >= gains.k_min:

@@ -59,6 +59,13 @@ def _positive(s: str) -> float:
     return v
 
 
+def _nonnegative(s: str) -> float:
+    v = float(s)
+    if not (v >= 0 and math.isfinite(v)):
+        raise ValueError(f"must be finite and >= 0, got {s!r}")
+    return v
+
+
 def _finite(s: str) -> float:
     v = float(s)
     if not math.isfinite(v):
@@ -182,23 +189,23 @@ _KEYS = {
     "mode.y_star": ("y_star", _list(_finite)),
     "mode.sample": ("sample_index", _int),
     "data.source": ("data_source", _choice("none", "blobs", "linreg", "csv")),
-    "data.per_class": ("per_class", _int),
-    "data.separation": ("separation", float),
-    "data.count": ("count", _int),
-    "data.noise_sd": ("noise_sd", float),
+    "data.per_class": ("per_class", _count),
+    "data.separation": ("separation", _finite),
+    "data.count": ("count", _count),
+    "data.noise_sd": ("noise_sd", _nonnegative),
     "data.path": ("csv_path", str),
     "data.features": ("feature_cols", _list(str)),
     "data.targets": ("target_cols", _list(str)),
     "data.normalize": ("normalize", _bool),
     "perturb.mode": ("perturb_mode", _choice("vanishing", "amplitude")),
-    "perturb.M": ("perturb_m", float),
+    "perturb.M": ("perturb_m", _nonnegative),
     "perturb.alpha": ("perturb_alpha", float),
     "perturb.redraw_every": ("redraw_every", _count),
-    "bound.gamma": ("gamma", float),
+    "bound.gamma": ("gamma", _positive),
     "run.seed": ("seed", _int),
     "run.out": ("out_dir", str),
     "sweep.alphas": ("alphas", _list(float)),
-    "sweep.m_values": ("m_values", _list(float)),
+    "sweep.m_values": ("m_values", _list(_nonnegative)),
 }
 
 
@@ -261,9 +268,6 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
         probs.append(f"{source}: loss.law = {cfg.law} needs loss.kind = lyapunov")
     if cfg.perturb_mode is not None and cfg.perturb_m is None:
         probs.append(f"{source}: perturb.mode needs perturb.M")
-    levels = cfg.m_values + ((cfg.perturb_m,) if cfg.perturb_m is not None else ())
-    if any(not 0.0 <= m < math.inf for m in levels):
-        probs.append(f"{source}: perturb.M and sweep.m_values must be finite and >= 0")
     if any(not 0.0 <= a < 1.0 for a in cfg.alphas):
         probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
     alpha = cfg.perturb_alpha  # amplitude noise ignores it

@@ -6,16 +6,20 @@ Two run modes:
   selected law exactly, so the settling-time certificates apply.
 * ``EpochFlow`` -- per-sample Euler steps cycling a dataset in order; the
   loss is recorded once per epoch as the dataset-summed value.  This is the
-  engineering analogue of discrete training and carries no certificate.
+  engineering analogue of discrete training; no certificate covers it, and
+  ``bounds.certify`` marks the one it prints heuristic.
 
 One loop integrates both modes for a stack of R runs that differ only in
-their input-noise level M or in their loss.  Each weight layer is one
-(R, out, in+1) array, so a step costs one numpy call per operation whatever
-R is, and each run rounds exactly as it would alone.  Runs that differ in
-loss share the forward pass, the back-propagation and dE/dW; only E, dE/de
-and the law's last step run once per stretch of runs with one loss (one
-law, for gradient flow).  A run that settles, diverges or fails
-leaves the active set at once: the stack is compacted, never masked.
+their input-noise level M (a perturb-sweep's levels) or in their loss (the
+rows of a compare or an alpha-sweep).  Noise levels share one noise
+stream, so ``integrate_batch`` refuses specs that differ in anything but M.
+Each weight layer is one (R, out, in+1) array, so a step costs one numpy
+call per operation whatever R is, and each run rounds exactly as it would
+alone.  Runs that differ in loss share the forward pass, the
+back-propagation and dE/dW; only E, dE/de and the law's last step run once
+per stretch of runs with one loss (one law, for gradient flow).  A run that
+settles, diverges or fails leaves the active set at once: the stack is
+compacted, never masked.
 ``integrate`` is the one-run case of ``integrate_batch``.
 
 Each theory-mode step evaluates E once, at its start, for the settle test
@@ -432,10 +436,10 @@ class _Noise:
     bitwise what rng.uniform(-b_r, b_r) returns from a generator in the same
     state, so every run sees the stream it would see alone."""
 
-    def __init__(self, specs, rng):
+    def __init__(self, specs):
         self.unit, self.every = replace(specs[0], M=1.0), specs[0].redraw_every
         self.M = np.array([s.M for s in specs])[:, None]
-        self.rng = np.random.default_rng(specs[0].seed) if rng is None else rng
+        self.rng = np.random.default_rng(specs[0].seed)
 
     def draw(self, x, runs: _Runs):
         """The Sample of perturbed copies of the input x, one per active run,
@@ -502,20 +506,18 @@ class _Epochs:
 
 
 def integrate(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
-              stop: StoppingRule, law: str = "auto", noise=None,
-              noise_rng=None) -> Trajectory:
+              stop: StoppingRule, law: str = "auto", noise=None) -> Trajectory:
     """Run a training flow and record its trajectory.
 
     `noise`, if given, is a perturbation spec applied to the inputs only:
     a fresh offset is drawn every `noise.redraw_every` steps and held across
-    the stages of a step.  `noise_rng` overrides the spec-seeded generator
-    (useful for continuing a stream).
+    the stages of a step, from a generator seeded with `noise.seed`.
 
     Raises HorizonError if t_max/dt exceeds the step budget, and
     DivergenceError if the state stops being finite.
     """
     (outcome,) = integrate_batch(mlp, mode, loss, gains, integ, stop, law,
-                                 None if noise is None else [noise], noise_rng)
+                                 None if noise is None else [noise])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -527,20 +529,23 @@ def _check_targets(y_star) -> None:
 
 
 def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
-                    stop: StoppingRule, law="auto", noises=None,
-                    noise_rng=None) -> list:
+                    stop: StoppingRule, law="auto", noises=None) -> list:
     """Integrate one flow from `mlp` once per run, as one stack.
 
     The runs differ in their noise level or in their loss, never in both.
     Run r perturbs its inputs by `noises[r]` (one noise-free run if `noises`
-    is None); the specs may differ only in M, and the runs share one noise
-    stream, the same unit draws scaled by each run's envelope.  Or `loss` is
-    a list of one loss per run, and `law` one law name for every run or a
-    list of one per run.  Returns one entry per run: its Trajectory, or the
-    error that stopped it alone -- DivergenceError, ShapeError for a
-    non-finite perturbed input or OverflowError for a non-finite draw range.
+    is None); the specs may differ only in M (else ValueError, as for an
+    empty list), and the runs share one noise stream, the same unit draws
+    scaled by each run's envelope.  Or `loss` is a list of one loss per run,
+    and `law` one law name for every run or a list of one per run.  Returns
+    one entry per run: its Trajectory, or the error that stopped it alone --
+    DivergenceError, ShapeError for a non-finite perturbed input or
+    OverflowError for a non-finite draw range.
     Errors that concern every run (step budget, shapes, law) are raised.
     """
+    if noises is not None:
+        if not noises or any(replace(s, M=noises[0].M) != noises[0] for s in noises[1:]):
+            raise ValueError("a stack needs one or more noise levels that differ only in M")
     n_steps = math.ceil(integ.t_max / integ.dt - 1e-12)
     if n_steps > integ.step_budget:
         raise HorizonError(
@@ -588,7 +593,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
         )
 
     runs = _Runs(work.weights, count, getattr(flow, "x", None), rule)
-    noise = None if noises is None else _Noise(noises, noise_rng)
+    noise = None if noises is None else _Noise(noises)
     # overflow in a diverging state is expected; the finite checks report it
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(last + 1):

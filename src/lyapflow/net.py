@@ -64,12 +64,9 @@ class Activation(enum.Enum):
             return _sigmoid(np.asarray(a, dtype=float))
         return np.asarray(a, dtype=float)
 
-    def derivative(self, a):
-        """Slope with respect to the pre-activation; sigma*(1-sigma) in (0, 0.25]."""
-        return self.slope(self.apply(a))
-
     def slope(self, s):
-        """The same slope, from the activation's output s = apply(a)."""
+        """Slope with respect to the pre-activation a, from the activation's
+        output s = apply(a); sigma*(1-sigma) in (0, 0.25] for the sigmoid."""
         if self is Activation.SIGMOID:
             return s * (1.0 - s)
         return np.ones_like(s)

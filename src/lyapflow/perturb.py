@@ -12,25 +12,27 @@ Offsets are drawn uniformly from (-B_i, B_i), re-drawn every
 ``redraw_every`` integration steps and held in between (theory mode; epoch
 mode draws one per sample and needs ``redraw_every = 1``).
 
-A robustness sweep runs all its levels as one stacked integration.  The
-levels share one noise stream: each redraw takes one block of unit draws and
-scales it by every level's own envelope, which is bitwise the draw a lone
-level makes from a fresh generator with the same seed.  So the rows of a
-sweep are paired comparisons -- they differ only in M, never in luck.
+A sweep over noise levels is one stacked integration,
+``dynamics.integrate_batch(..., noises=specs)``, whose levels may differ only
+in M.  They share one noise stream: each redraw takes one block of unit
+draws and scales it by every level's own envelope, which is bitwise the draw
+a lone level makes from a fresh generator with the same seed.  So the rows
+of a sweep are paired comparisons -- they differ only in M, never in luck.
+``robustness_run`` is the one-level helper: one run and its certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import GammaEstimate, certify, estimate_gamma
-from .dynamics import EpochFlow, initial_loss, integrate_batch, select_law
+from .dynamics import EpochFlow, initial_loss, integrate, select_law
 from .losses import LyapunovLoss
 
-__all__ = ["PerturbationSpec", "robustness_run", "robustness_sweep"]
+__all__ = ["PerturbationSpec", "robustness_run"]
 
 
 @dataclass(frozen=True)
@@ -79,37 +81,16 @@ class PerturbationSpec:
 
 def robustness_run(mlp, mode, spec: PerturbationSpec, gains, loss, integ, stop,
                    gamma: GammaEstimate | None = None, law: str = "auto"):
-    """(trajectory, bound) of one noisy run: the one-level robustness_sweep."""
-    return next(robustness_sweep(mlp, mode, [spec], gains, loss, integ, stop,
-                                 gamma=gamma, law=law))
+    """(trajectory, bound) of one run under the input noise `spec`.
 
-
-def robustness_sweep(mlp, mode, specs, gains, loss, integ, stop,
-                     gamma: GammaEstimate | None = None, law: str = "auto"):
-    """Integrate one flow under every level in `specs` at once; certify each.
-
-    The levels may differ only in M (else ValueError).  E0, the loss at the
-    initial weights on the *unperturbed* inputs, and gamma (estimated from
-    the data if None) are computed once; ``certify`` certifies each level,
-    or refuses it (bound None).  Returns an iterator of
-    (trajectory, bound) in level order; a level whose run failed raises its
-    error when reached, as if the levels had run one after another.
+    E0 is the loss at the initial weights on the *unperturbed* inputs, and
+    gamma is estimated from the data if None; ``certify`` certifies the run
+    or refuses it (bound None).  A failed run raises its error.
     """
-    specs = list(specs)
-    if not specs or any(replace(s, M=specs[0].M) != specs[0] for s in specs[1:]):
-        raise ValueError("a sweep needs one or more levels that differ only in M")
     E0 = initial_loss(mlp, mode, loss)
+    epoch = isinstance(mode, EpochFlow)
     if gamma is None:
-        gamma = estimate_gamma(mode.dataset if isinstance(mode, EpochFlow) else mode.x)
+        gamma = estimate_gamma(mode.dataset if epoch else mode.x)
     law_kind = select_law(mlp, isinstance(loss, LyapunovLoss), law)
-    bounds = [certify(E0, gains, gamma, loss, law_kind, spec)[0] for spec in specs]
-
-    runs = integrate_batch(mlp, mode, loss, gains, integ, stop, law=law, noises=specs)
-    return _in_level_order(runs, bounds)
-
-
-def _in_level_order(runs, bounds):
-    for run, bound in zip(runs, bounds):
-        if isinstance(run, Exception):
-            raise run
-        yield run, bound
+    bound = certify(E0, gains, gamma, loss, law_kind, spec, epoch)[0]
+    return integrate(mlp, mode, loss, gains, integ, stop, law=law, noise=spec), bound

@@ -62,6 +62,11 @@ def test_certify_picks_the_flavor_and_gives_each_refusal_a_reason():
         settling_bound(0.3, gains, gamma, layered, flavor="mlp"), None)
     assert certify(0.3, gains, gamma, layered, "mlp", noise) == (
         settling_bound(0.3, gains, gamma, layered, flavor="perturbed", M=0.5), None)
+    # an epoch-mode run gets the same certificate, marked heuristic last
+    epoch, _ = certify(0.3, gains, gamma, layered, "mlp", noise, epoch=True)
+    assert epoch == replace(settling_bound(0.3, gains, gamma, layered, flavor="perturbed",
+                                           M=0.5), heuristic=True)
+    assert epoch.kv_lines()[-1] == "heuristic = true"
     refusals = {
         "no certificate for l2 loss": certify(0.3, gains, gamma, L2Loss(), "baseline"),
         "already settled": certify(0.0, gains, gamma, single, "single_neuron"),

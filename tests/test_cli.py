@@ -92,6 +92,13 @@ def test_bad_configs_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gains.q" in err and "y_star" in err
 
+    # a negative count once reached numpy and died with its traceback
+    cfg = _write(tmp_path, "net.layers = 1, 1\nmode.kind = epoch\ndata.source = linreg\n"
+                 "data.count = -1\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "bad value for 'data.count': must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 BLOBS = "data.source = blobs\ndata.per_class = 5\nnet.init = zeros\n"  # 4 -> 1, 10 rows
 
@@ -379,20 +386,27 @@ def test_noisy_run_gets_no_certificate_from_a_bias_unit_gamma(tmp_path, capsys):
     assert kv["settled"] == "true" and 0.1 < float(kv["settled_at"]) <= float(kv["bound.T"])
 
 
-@pytest.mark.parametrize("gamma_line", ["", "bound.gamma = 1.5\n"], ids=["data_min", "user"])
-def test_bound_and_perturb_sweep_agree_on_T(tmp_path, gamma_line):
-    # both take gamma from the one resolver: the user's value, else the data's
+THEORY_SAMPLE = "net.layers = 2, 1\nmode.x = 50, 40\nmode.y_star = 0.3\n"
+EPOCH_BLOBS = "net.layers = 4, 1\nmode.kind = epoch\ndata.source = blobs\ndata.per_class = 3\n"
+
+
+@pytest.mark.parametrize("flow,gamma_line", [
+    (THEORY_SAMPLE, ""),
+    (THEORY_SAMPLE, "bound.gamma = 1.5\n"),
+    (EPOCH_BLOBS, "bound.gamma = 1.5\n"),
+], ids=["data_min", "user", "epoch"])
+def test_bound_and_perturb_sweep_agree_on_T(tmp_path, flow, gamma_line):
+    # both take gamma from the one resolver: the user's value, else the data's;
+    # both flag an epoch-mode certificate, which certify alone decides
     base = (
-        "net.layers = 2, 1\n"
         "net.init = zeros\n"
         "integ.method = euler\n"
         "integ.dt = 1e-5\n"
         "integ.t_max = 1e-3\n"
-        "mode.x = 50, 40\n"
-        "mode.y_star = 0.3\n"
         "perturb.mode = vanishing\n"
-        + gamma_line
+        + flow + gamma_line
     )
+    heuristic = "true" if flow == EPOCH_BLOBS else None
     sweep = _write(tmp_path, base + "perturb.M = 0\nsweep.m_values = 0.2, 0.6\n", "s.kv")
     assert main(["perturb-sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == 0
     rows = _summary(tmp_path / "s")
@@ -402,6 +416,8 @@ def test_bound_and_perturb_sweep_agree_on_T(tmp_path, gamma_line):
         kv = _summary(tmp_path / "b")
         assert kv["bound.gamma"] == ("1.5" if gamma_line else "50.0")
         assert rows[f"row{i}.T_bound"] == kv["bound.T"]
+        assert rows[f"row{i}.certified"] == "true"
+        assert rows.get(f"row{i}.heuristic") == kv.get("bound.heuristic") == heuristic
 
 
 def test_compare_takes_dt_from_the_certificate(tmp_path):

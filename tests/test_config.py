@@ -187,10 +187,19 @@ def test_noise_levels_are_checked_when_read():
     "stop.epsilon = nan",
     "net.scale = nan",
     "net.scale = inf",
+    "bound.gamma = nan",
+    "bound.gamma = -1",
+    "data.count = -1",
+    "data.per_class = 0",
+    "data.noise_sd = nan",
+    "data.noise_sd = -0.5",
+    "data.separation = nan",
 ])
 def test_unusable_values_exit_2_when_read(tmp_path, capsys, line):
     # each of these once passed the config and then died in the run with a
-    # traceback from the integrator, gain or stopping-rule dataclass
+    # traceback from the integrator, gain or stopping-rule dataclass, was
+    # refused by the certificate only after the run, or gave a noise-free or
+    # empty dataset
     path = tmp_path / "run.kv"
     path.write_text("net.layers = 4, 1\nmode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n"
                     + line + "\n")

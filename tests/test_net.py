@@ -78,8 +78,9 @@ def test_identity_output_and_derivatives():
     mlp = Mlp([np.array([[2.0, -1.0]])], (Activation.IDENTITY,))
     trace = forward(mlp, np.array([3.0]))
     assert trace.y[0] == pytest.approx(5.0)
-    assert np.all(Activation.IDENTITY.derivative(np.array([-5.0, 40.0])) == 1.0)
-    d = Activation.SIGMOID.derivative(np.array([0.0]))
+    identity, sigmoid = Activation.IDENTITY, Activation.SIGMOID
+    assert np.all(identity.slope(identity.apply(np.array([-5.0, 40.0]))) == 1.0)
+    d = sigmoid.slope(sigmoid.apply(np.array([0.0])))
     assert d[0] == pytest.approx(0.25)
 
 
@@ -89,7 +90,7 @@ def test_preact_clamp_keeps_sigmoid_finite():
     assert trace.y[0] == pytest.approx(1.0 / (1.0 + math.exp(-PREACT_CLAMP)))
     # raw pre-activation is stored unclamped
     assert trace.preacts[0][0] == 1000.0
-    d = Activation.SIGMOID.derivative(np.array([1000.0]))
+    d = Activation.SIGMOID.slope(Activation.SIGMOID.apply(np.array([1000.0])))
     assert np.isfinite(d[0]) and d[0] > 0.0
 
 
@@ -224,11 +225,12 @@ def test_sensitivities_reuse_forward_activations_bitwise(sizes, out_act):
         for loss in (LyapunovLoss(alpha=0.7), L2Loss()):
             trace = forward(mlp, x)
             grad = loss.error_grad(trace.y - y_star)
+            acts, a = mlp.activations, trace.preacts
             expected = [None] * mlp.n_layers
-            expected[-1] = mlp.activations[-1].derivative(trace.preacts[-1]) * grad
+            expected[-1] = acts[-1].slope(acts[-1].apply(a[-1])) * grad
             for l in range(mlp.n_layers - 2, -1, -1):
                 back = mlp.weights[l + 1][:, :-1].T @ expected[l + 1]
-                expected[l] = mlp.activations[l].derivative(trace.preacts[l]) * back
+                expected[l] = acts[l].slope(acts[l].apply(a[l])) * back
             got = sensitivities(mlp, trace, y_star, loss)
             assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
 

@@ -1,5 +1,4 @@
 import contextlib
-import re
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from lyapflow import (
     TheoryFlow,
     forward,
     integrate,
-    robustness_sweep,
 )
 from lyapflow import control, dynamics, net
 from lyapflow.cli import main
@@ -192,6 +190,9 @@ def test_noise_stream_is_numpy_uniform_per_level():
 
 
 def test_sweep_levels_may_differ_only_in_M():
+    # one noise stream serves the stack, drawn with the first level's alpha,
+    # seed, mode and redraw_every; a level that differs in any of them would
+    # silently run as the first level does
     mlp, mode, loss, gains, integ, stop = _noisy_problem()
     base = PerturbationSpec(mode="vanishing", M=0.1, alpha=0.7, seed=3)
     for other in (PerturbationSpec("vanishing", 0.2, alpha=0.5, seed=3),
@@ -199,24 +200,26 @@ def test_sweep_levels_may_differ_only_in_M():
                   PerturbationSpec("vanishing", 0.2, alpha=0.7, seed=3, redraw_every=2),
                   PerturbationSpec("amplitude", 0.2, seed=3)):
         with pytest.raises(ValueError, match="differ only in M"):
-            robustness_sweep(mlp, mode, [base, other], gains, loss, integ, stop)
-    with pytest.raises(ValueError):
-        robustness_sweep(mlp, mode, [], gains, loss, integ, stop)
+            dynamics.integrate_batch(mlp, mode, loss, gains, integ, stop,
+                                     noises=[base, other])
+    with pytest.raises(ValueError, match="one or more noise levels"):
+        dynamics.integrate_batch(mlp, mode, loss, gains, integ, stop, noises=[])
 
 
 def test_sweep_keeps_the_draw_range_check():
-    # an infinite range fails its own level, with numpy's error, and the
-    # level before it is still delivered first
+    # an infinite range fails its own level, with numpy's error; the levels
+    # beside it run on as they would alone
     mlp, mode, loss, gains, _, stop = _noisy_problem()
     integ = Integrator(method="euler", dt=1e-6, t_max=1e-5)
     specs = [PerturbationSpec("amplitude", M, seed=2) for M in (0.01, 1e308, 0.02)]
-    levels = robustness_sweep(mlp, mode, specs, gains, loss, integ, stop)
-    traj, _ = next(levels)
-    assert traj.n_records() == 11
-    with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
-        next(levels)
+    first, failed, last = dynamics.integrate_batch(mlp, mode, loss, gains, integ, stop,
+                                                   noises=specs)
+    assert first.n_records() == 11 and last.n_records() == 11
+    assert type(failed) is OverflowError and str(failed) == "Range exceeds valid bounds"
     with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
         robustness_run(mlp, mode, specs[1], gains, loss, integ, stop)
+    assert _same_trajectory(last, robustness_run(mlp, mode, specs[2], gains, loss,
+                                                 integ, stop)[0])
 
 
 def test_sweep_refuses_a_bias_unit_gamma_for_the_single_neuron_law(tmp_path, capsys):
@@ -343,20 +346,12 @@ def test_a_level_in_a_batch_is_bitwise_the_level_alone(law, flow, envelope, leve
             assert type(a) is type(b) and str(a) == str(b)
         else:
             assert _same_trajectory(a, b)
-    alone = []
-    for spec in specs:
+    # each level of the stack is bitwise the level run alone, or fails with
+    # the error the level alone raises
+    for spec, got in zip(specs, checked_once[1:]):
         try:
-            alone.append(robustness_run(mlp, mode, spec, gains, loss, integ, stop))
+            want, _ = robustness_run(mlp, mode, spec, gains, loss, integ, stop)
         except (DivergenceError, ShapeError, OverflowError) as exc:
-            alone.append(exc)
-    swept = robustness_sweep(mlp, mode, specs, gains, loss, integ, stop)
-    for expected in alone:
-        if isinstance(expected, Exception):
-            # the first failing level stops the sweep exactly where a
-            # level-by-level sweep would have stopped
-            with pytest.raises(type(expected), match=re.escape(str(expected))):
-                next(swept)
-            return
-        traj, bound = next(swept)
-        assert _same_trajectory(traj, expected[0])
-        assert bound == expected[1]
+            assert type(got) is type(exc) and str(got) == str(exc)
+        else:
+            assert _same_trajectory(got, want)
