@@ -149,6 +149,7 @@ class Problem:
     noise: object       # PerturbationSpec | None
     gamma: object       # GammaEstimate, or the error that stopped its estimate
     E0: float           # loss at the initial weights on the clean inputs
+    integ: Integrator = None  # set by resolve, for every command
 
     def certificate(self, noise) -> tuple:
         """(bound, None) or (None, reason) for a run under `noise` (or none)."""
@@ -157,7 +158,8 @@ class Problem:
 
 
 def resolve(cfg: ExperimentConfig, args) -> Problem:
-    """The one place that decides a run's law, certificate inputs and noise."""
+    """The one place that decides a run's law, certificate inputs, noise and
+    time step."""
     dataset = _build_dataset(cfg)
     mlp = _build_net(cfg)
     law = select_law(mlp, cfg.loss_kind == "lyapunov", cfg.law)
@@ -168,9 +170,12 @@ def resolve(cfg: ExperimentConfig, args) -> Problem:
                  else estimate_gamma(dataset if isinstance(mode, EpochFlow) else mode.x))
     except (AssumptionError, ValueError) as exc:
         gamma = exc
-    return Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
+    prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
                    StoppingRule(cfg.epsilon), _build_spec(cfg, loss), gamma,
                    initial_loss(mlp, mode, loss))
+    # one rule for every command: T/1e5 of the noise-free certificate
+    prob.integ = _build_integrator(cfg, prob.certificate(None)[0])
+    return prob
 
 
 # ---------------------------------------------------------------- output
@@ -222,9 +227,8 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
     prob = resolve(cfg, args)
     loss, spec = prob.loss, prob.noise
     bound, refusal = prob.certificate(spec)
-    integ = _build_integrator(cfg, bound)
 
-    traj = integrate(prob.mlp, prob.mode, loss, prob.gains, integ, prob.stop,
+    traj = integrate(prob.mlp, prob.mode, loss, prob.gains, prob.integ, prob.stop,
                      law=prob.law, noise=spec)
 
     traj.to_csv(out / "trajectory.csv")
@@ -234,8 +238,8 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
         f"loss = {loss.name}",
         f"law = {prob.law}",
         f"mode = {cfg.mode}",
-        f"method = {integ.method}",
-        f"dt = {_num(integ.dt)}",
+        f"method = {prob.integ.method}",
+        f"dt = {_num(prob.integ.dt)}",
         f"epsilon = {_num(prob.stop.epsilon)}",
         f"E0 = {_num(prob.E0)}",
     ]
@@ -257,7 +261,7 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
         print(f"settled at t = {traj.settled_at:.6g}"
               + (f" (bound T = {bound.T:.6g})" if bound else ""))
     else:
-        print(f"did not settle by t_max = {integ.t_max:.6g}"
+        print(f"did not settle by t_max = {prob.integ.t_max:.6g}"
               f" (final E = {traj.E[-1]:.6g})")
     return 0
 
@@ -266,11 +270,9 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
     prob = resolve(cfg, args)
     if prob.law == "baseline":
         raise ConfigError(["compare needs loss.kind = lyapunov as the reference"])
-    # the time step comes from the noise-free Lyapunov row's certificate
-    integ = _build_integrator(cfg, prob.certificate(None)[0])
 
     losses = [prob.loss, L1Loss(), L2Loss()]
-    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, integ, prob.stop,
+    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop,
                             law=[prob.law, "baseline", "baseline"])
     runs = [(loss.name, traj) for loss, traj in zip(losses, _delivered(trajs))]
 
@@ -278,7 +280,7 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
         "command = compare",
         f"seed = {cfg.seed}",
         f"mode = {cfg.mode}",
-        f"dt = {_num(integ.dt)}",
+        f"dt = {_num(prob.integ.dt)}",
         f"epsilon = {_num(prob.stop.epsilon)}",
         f"alpha = {_num(prob.loss.alpha)}",
         f"beta = {_num(prob.loss.beta)}",
@@ -326,15 +328,15 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
         raise ConfigError(["perturb-sweep needs sweep.m_values"])
     prob = resolve(cfg, args)
     gains = prob.gains
-    integ = _build_integrator(cfg, None)
     specs = [_build_spec(cfg, prob.loss, m_override=m) for m in cfg.m_values]
     bounds = [prob.certificate(spec)[0] for spec in specs]
-    trajs = integrate_batch(prob.mlp, prob.mode, prob.loss, gains, integ, prob.stop,
+    trajs = integrate_batch(prob.mlp, prob.mode, prob.loss, gains, prob.integ, prob.stop,
                             law=prob.law, noises=specs)
 
     lines = [
         "command = perturb-sweep",
         f"seed = {cfg.seed}",
+        f"dt = {_num(prob.integ.dt)}",
         f"k_min = {_num(gains.k_min)}",
         f"levels = {len(cfg.m_values)}",
     ]
@@ -355,7 +357,9 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
                 lines.append(f"{p}note = unguaranteed: M >= k_min")
         lines += _traj_lines(p, traj)
         series.append((f"M={m:g}", traj.t.tolist(), traj.E.tolist()))
-        print(f"{m:10.4g} {str(certified):>9s} "
+        # an epoch-mode certificate is flagged in the table as in summary.kv
+        shown = "heuristic" if certified and bnd.heuristic else str(certified)
+        print(f"{m:10.4g} {shown:>9s} "
               f"{(f'{bnd.T:.6g}' if certified else 'none'):>12s} "
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
               f"{traj.E[-1]:12.6g}")
@@ -375,14 +379,13 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     prob = resolve(cfg, args)
     if prob.law == "baseline":
         raise ConfigError(["alpha-sweep needs loss.kind = lyapunov"])
-    integ = _build_integrator(cfg, None)
     # every level's loss is built, or refused, before the first row prints
     losses = [_build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a) for a in cfg.alphas]
-    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, integ, prob.stop,
+    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop,
                             law=prob.law)
 
     lines = ["command = alpha-sweep", f"seed = {cfg.seed}",
-             f"levels = {len(cfg.alphas)}"]
+             f"dt = {_num(prob.integ.dt)}", f"levels = {len(cfg.alphas)}"]
     series = []
     print(f"{'alpha':>7s} {'violations':>10s} {'settled_at':>12s} {'final_E':>12s}")
     for i, (a, traj) in enumerate(zip(cfg.alphas, _delivered(trajs))):

@@ -45,6 +45,13 @@ def _int(s: str) -> int:
     return int(s, 10)
 
 
+def _nonnegative_int(s: str) -> int:
+    n = int(s, 10)
+    if n < 0:
+        raise ValueError(f"must be >= 0, got {n}")
+    return n
+
+
 def _count(s: str) -> int:
     n = int(s, 10)
     if n < 1:
@@ -202,7 +209,7 @@ _KEYS = {
     "perturb.alpha": ("perturb_alpha", float),
     "perturb.redraw_every": ("redraw_every", _count),
     "bound.gamma": ("gamma", _positive),
-    "run.seed": ("seed", _int),
+    "run.seed": ("seed", _nonnegative_int),
     "run.out": ("out_dir", str),
     "sweep.alphas": ("alphas", _list(float)),
     "sweep.m_values": ("m_values", _list(_nonnegative)),

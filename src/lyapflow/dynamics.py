@@ -15,9 +15,11 @@ rows of a compare or an alpha-sweep).  Noise levels share one noise
 stream, so ``integrate_batch`` refuses specs that differ in anything but M.
 Each weight layer is one (R, out, in+1) array, so a step costs one numpy
 call per operation whatever R is, and each run rounds exactly as it would
-alone.  Runs that differ in loss share the forward pass, the
-back-propagation and dE/dW; only E, dE/de and the law's last step run once
-per stretch of runs with one loss (one law, for gradient flow).  A run that
+alone.  One law object serves a lone run and every stack.  It groups the
+runs into stretches that share a law and its loss (gradient-flow runs share
+only their law); the forward pass, the back-propagation and dE/dW run once
+for the stack, and only E, dE/de and the law's last step run per stretch.
+A lone run or a noise stack is one stretch and is never sliced.  A run that
 settles, diverges or fails leaves the active set at once: the stack is
 compacted, never masked.
 ``integrate`` is the one-run case of ``integrate_batch``.
@@ -215,14 +217,35 @@ def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
 
 
 class _Law:
-    """(E, error, control signal) of a weight state, for one run or a stack
-    of runs that share one loss."""
+    """(E, error, control signal) of a weight state, for one run or a stack.
 
-    def __init__(self, mlp: Mlp, loss, gains: GainSchedule, law: str):
-        self.mlp, self.loss, self.gains = mlp, loss, gains
-        self.kind = select_law(mlp, isinstance(loss, LyapunovLoss), law)
-        if self.kind == "single_neuron":
-            self.rate_scale = lyapunov_rate_scale(loss.alpha)
+    Run r follows laws[r] under losses[r].  Consecutive runs that share a law
+    and its loss form a stretch (gradient flow does not read its loss, so one
+    call serves L1 and L2 runs), rebuilt when compaction changes the active
+    set.  One stretch, a lone run or a noise stack, is never sliced."""
+
+    def __init__(self, mlp: Mlp, losses, gains: GainSchedule, laws):
+        self.mlp, self.gains = mlp, gains
+        self._group([select_law(mlp, isinstance(loss, LyapunovLoss), law)
+                     for loss, law in zip(losses, laws)], list(losses))
+
+    def _group(self, kinds: list, losses: list) -> None:
+        self.kinds, self.losses = kinds, losses
+        spans = _spans(losses)
+        # one loss serves the stack as it is; several, stretch by stretch
+        self.loss = losses[0] if len(spans) == 1 else _Losses(spans)
+        keys = [(kind, None if kind == "baseline" else loss)
+                for kind, loss in zip(kinds, losses)]
+        self.groups = [(s, (kind, loss, lyapunov_rate_scale(loss.alpha)
+                            if kind == "single_neuron" else None))
+                       for (kind, loss), s in _spans(keys)]
+        self.whole = self.groups[0][1] if len(self.groups) == 1 else None
+        self.backprop = any(kind != "single_neuron" for kind in kinds)
+
+    def keep(self, keep) -> None:
+        """Compaction kept the runs where `keep` is set."""
+        self._group([kind for kind, kept in zip(self.kinds, keep) if kept],
+                    [loss for loss, kept in zip(self.losses, keep) if kept])
 
     def eval(self, weights, x: Sample, y_star, with_E: bool = True) -> tuple:
         """x is a Sample (a plain array is checked again on every call);
@@ -230,24 +253,34 @@ class _Law:
         self.mlp.weights = weights
         trace = forward(self.mlp, x)
         e = trace.y - y_star
-        E = None
-        if with_E or self.kind == "mlp":
-            E = self.loss.evaluate(e[..., None, :])  # one E per run
-        if self.kind == "single_neuron":
-            return E, e, single_neuron_update(x, e[..., 0], trace.preacts[0][..., 0],
-                                              self.gains, rate_scale=self.rate_scale)
-        grad = loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace)
-        if self.kind == "mlp":
-            return E, e, mlp_update(grad, E, self.gains, self.loss)
-        return E, e, gradient_flow_update(grad, self.gains)
+        E = self.loss.evaluate(e[..., None, :]) if with_E else None  # one E per run
+        grad = (loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace)
+                if self.backprop else None)
+        if self.whole:  # one stretch: nothing to slice
+            return E, e, self._signal(self.whole, x, e, trace.preacts[0], grad, E)
+        parts = [self._signal(law, x, e[s], trace.preacts[0][s],
+                              None if grad is None else [g[s] for g in grad],
+                              None if E is None else E[s])
+                 for s, law in self.groups]
+        return E, e, [_joined(layer) for layer in zip(*parts)]
+
+    def _signal(self, law, x, e, z, grad, E):
+        """One stretch's control signal from its errors, pre-activations and
+        dE/dW; E is evaluated here only for the layered law, whose rate
+        scales with E**beta."""
+        kind, loss, rate_scale = law
+        if kind == "single_neuron":
+            return single_neuron_update(x, e[..., 0], z[..., 0], self.gains,
+                                        rate_scale=rate_scale)
+        if kind == "mlp":
+            if E is None:
+                E = loss.evaluate(e[..., None, :])
+            return mlp_update(grad, E, self.gains, loss)
+        return gradient_flow_update(grad, self.gains)
 
     def rates(self, weights, x, y_star):
-        """The control signal alone, as an RK4 stage or an epoch step needs it;
-        E is evaluated only for the layered law, whose rate scales with E**beta."""
+        """The control signal alone, as an RK4 stage or an epoch step needs it."""
         return self.eval(weights, x, y_star, with_E=False)[2]
-
-    def keep(self, keep) -> None:
-        """Compaction kept the runs where `keep` is set; one loss serves them all."""
 
 
 def _spans(keys) -> list:
@@ -265,67 +298,17 @@ def _joined(parts):
 
 
 class _Losses:
-    """One loss per run of a stack, used as one loss: each stretch of runs
-    that share a loss is evaluated by it alone, along the run axis."""
+    """Several losses used as one along a stack's run axis: each stretch of
+    runs that share a loss, its (loss, slice) span, is evaluated by it alone."""
 
-    def __init__(self, losses):
-        self.losses = list(losses)
-        self.spans = _spans(self.losses)
+    def __init__(self, spans):
+        self.spans = spans
 
     def evaluate(self, e):
         return _joined([loss.evaluate(e[s]) for loss, s in self.spans])
 
     def error_grad(self, e):
         return _joined([loss.error_grad(e[s]) for loss, s in self.spans])
-
-
-class _Laws(_Law):
-    """The law of a stack whose runs differ in loss, and so maybe in law.
-
-    The forward pass, the back-propagation through the hidden layers and
-    dE/dW run once for the whole stack.  Only E, dE/de and the law's last
-    step run per stretch of runs: a layered or single-neuron stretch shares
-    its loss, a gradient-flow stretch only its law.  The stretches are
-    rebuilt only when compaction changes the active set."""
-
-    def __init__(self, mlp: Mlp, losses, gains: GainSchedule, laws):
-        self.mlp, self.loss, self.gains = mlp, _Losses(losses), gains
-        self.kinds = [select_law(mlp, isinstance(loss, LyapunovLoss), law)
-                      for loss, law in zip(losses, laws)]
-        self._group()
-
-    def _group(self) -> None:
-        # gradient flow does not read its loss: one call serves L1 and L2 rows
-        keys = [(kind, None if kind == "baseline" else loss)
-                for kind, loss in zip(self.kinds, self.loss.losses)]
-        self.groups = [(kind, loss, s, lyapunov_rate_scale(loss.alpha)
-                        if kind == "single_neuron" else None)
-                       for (kind, loss), s in _spans(keys)]
-        self.backprop = any(kind != "single_neuron" for kind in self.kinds)
-
-    def keep(self, keep) -> None:
-        self.kinds = [kind for kind, kept in zip(self.kinds, keep) if kept]
-        self.loss = _Losses(loss for loss, kept in zip(self.loss.losses, keep) if kept)
-        self._group()
-
-    def eval(self, weights, x: Sample, y_star, with_E: bool = True) -> tuple:
-        self.mlp.weights = weights
-        trace = forward(self.mlp, x)
-        e = trace.y - y_star
-        E = self.loss.evaluate(e[:, None, :]) if with_E else None
-        if self.backprop:
-            grad = loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace)
-        parts = []
-        for kind, loss, s, rate_scale in self.groups:
-            if kind == "single_neuron":
-                parts.append(single_neuron_update(x, e[s, 0], trace.preacts[0][s, 0],
-                                                  self.gains, rate_scale=rate_scale))
-            elif kind == "mlp":
-                E_s = loss.evaluate(e[s, None, :]) if E is None else E[s]
-                parts.append(mlp_update([g[s] for g in grad], E_s, self.gains, loss))
-            else:
-                parts.append(gradient_flow_update([g[s] for g in grad], self.gains))
-        return E, e, [_joined(layer) for layer in zip(*parts)]
 
 
 def _axpy(w, a: float, u):
@@ -551,18 +534,18 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
         raise HorizonError(
             f"t_max/dt = {n_steps} steps exceeds the budget of {integ.step_budget}"
         )
-    work = mlp.copy()
     if not isinstance(loss, (list, tuple)):
-        count, rule = 1 if noises is None else len(noises), _Law(work, loss, gains, law)
+        losses = [loss] * (1 if noises is None else len(noises))
     elif noises:
         raise ValueError("the runs of a stack differ in noise level or in loss, not both")
     else:
-        laws = [law] * len(loss) if isinstance(law, str) else law
-        if len(laws) != len(loss):
-            raise ValueError(f"{len(loss)} losses but {len(laws)} laws")
-        count = len(loss)
-        rule = (_Laws(work, loss, gains, laws) if count > 1
-                else _Law(work, loss[0], gains, laws[0]))
+        losses = list(loss)
+    laws = [law] * len(losses) if isinstance(law, str) else list(law)
+    if not losses or len(laws) != len(losses):
+        raise ValueError(f"a stack needs one law per loss: {len(losses)} losses, "
+                         f"{len(laws)} laws")
+    work = mlp.copy()
+    rule = _Law(work, losses, gains, laws)
     if isinstance(mode, TheoryFlow):
         if mode.x.shape != (work.n_inputs,) or mode.y_star.shape != (work.n_outputs,):
             raise ShapeError(
@@ -592,7 +575,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
             f"t_max/dt = {n_steps} steps is less than one epoch of {flow.span} samples"
         )
 
-    runs = _Runs(work.weights, count, getattr(flow, "x", None), rule)
+    runs = _Runs(work.weights, len(losses), getattr(flow, "x", None), rule)
     noise = None if noises is None else _Noise(noises)
     # overflow in a diverging state is expected; the finite checks report it
     with np.errstate(over="ignore", invalid="ignore"):

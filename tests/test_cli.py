@@ -395,7 +395,7 @@ EPOCH_BLOBS = "net.layers = 4, 1\nmode.kind = epoch\ndata.source = blobs\ndata.p
     (THEORY_SAMPLE, "bound.gamma = 1.5\n"),
     (EPOCH_BLOBS, "bound.gamma = 1.5\n"),
 ], ids=["data_min", "user", "epoch"])
-def test_bound_and_perturb_sweep_agree_on_T(tmp_path, flow, gamma_line):
+def test_bound_and_perturb_sweep_agree_on_T(tmp_path, capsys, flow, gamma_line):
     # both take gamma from the one resolver: the user's value, else the data's;
     # both flag an epoch-mode certificate, which certify alone decides
     base = (
@@ -410,6 +410,9 @@ def test_bound_and_perturb_sweep_agree_on_T(tmp_path, flow, gamma_line):
     sweep = _write(tmp_path, base + "perturb.M = 0\nsweep.m_values = 0.2, 0.6\n", "s.kv")
     assert main(["perturb-sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == 0
     rows = _summary(tmp_path / "s")
+    # the table flags an epoch-mode certificate too
+    table = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[1] for line in table] == ["heuristic" if heuristic else "True"] * 2
     for i, m in enumerate(("0.2", "0.6")):
         one = _write(tmp_path, base + f"perturb.M = {m}\n", "b.kv")
         assert main(["bound", "--config", one, "--out", str(tmp_path / "b")]) == 0
@@ -420,18 +423,39 @@ def test_bound_and_perturb_sweep_agree_on_T(tmp_path, flow, gamma_line):
         assert rows.get(f"row{i}.heuristic") == kv.get("bound.heuristic") == heuristic
 
 
-def test_compare_takes_dt_from_the_certificate(tmp_path):
-    # without integ.dt, compare steps at T/1e5 like train does; at the old
-    # fallback of 1e-3 its Lyapunov row chattered and never settled
-    text = SINGLE_NEURON.replace("integ.dt = 1e-6\n", "").replace(
-        "integ.t_max = 0.02\n", "integ.t_max = 2e-4\n")
+# the README single neuron without integ.dt, so the CLI derives it
+DERIVED_DT = SINGLE_NEURON.replace("integ.dt = 1e-6\n", "") + (
+    "sweep.m_values = 0, 0.2\nsweep.alphas = 0.5, 0.7\n")
+
+
+@pytest.fixture(scope="module")
+def derived_dt_train(tmp_path_factory):
+    """summary.kv of `train` on DERIVED_DT, run to its settle."""
+    tmp = tmp_path_factory.mktemp("train")
+    assert main(["train", "--config", _write(tmp, DERIVED_DT), "--out", str(tmp)]) == 0
+    return _summary(tmp)
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "perturb-sweep", "alpha-sweep"])
+def test_each_command_takes_dt_from_the_certificate(tmp_path, derived_dt_train, command):
+    # without integ.dt, every command steps at T/1e5 of the noise-free
+    # certificate; at the old fallback of 1e-3 the single-neuron law
+    # chattered and never settled, as both sweeps did
+    sweep = command.endswith("-sweep")
+    text = DERIVED_DT
+    if not sweep:  # only dt is checked; stop long before the settle
+        text = text.replace("integ.t_max = 0.02\n", "integ.t_max = 2e-4\n")
     cfg = _write(tmp_path, text)
     assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     T = float(_summary(tmp_path / "b")["bound.T"])
-    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
-    assert main(["train", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
-    assert _summary(tmp_path / "c")["dt"] == repr(T / 1e5)
-    assert _summary(tmp_path / "t")["dt"] == repr(T / 1e5)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    kv = _summary(tmp_path / "c")
+    assert kv["dt"] == repr(T / 1e5)
+    if sweep:
+        assert kv["row0.settled"] == kv["row1.settled"] == "true"
+        # the M = 0 level and the alpha = 0.7 level run exactly as train does
+        same = "row0." if command == "perturb-sweep" else "row1."
+        assert kv[same + "settled_at"] == derived_dt_train["settled_at"]
 
 
 def test_perturb_sweep_reports_the_lowest_diverging_level(tmp_path, capsys):

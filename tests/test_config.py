@@ -194,6 +194,7 @@ def test_noise_levels_are_checked_when_read():
     "data.noise_sd = nan",
     "data.noise_sd = -0.5",
     "data.separation = nan",
+    "run.seed = -1",
 ])
 def test_unusable_values_exit_2_when_read(tmp_path, capsys, line):
     # each of these once passed the config and then died in the run with a

@@ -325,14 +325,20 @@ def test_monotone_violation_counter():
     ((4, 1), Activation.SIGMOID, LyapunovLoss.single_neuron(ALPHA), "single_neuron"),
     ((4, 8, 1), Activation.IDENTITY, LyapunovLoss.multilayer(ALPHA), "mlp"),
     ((4, 8, 2), Activation.SIGMOID, L2Loss(), "baseline"),
+    # a stack of three stretches: layered, gradient flow (L1 and L2), layered
+    ((4, 8, 1), Activation.IDENTITY,
+     [LyapunovLoss.multilayer(ALPHA), L1Loss(), L2Loss(), LyapunovLoss.multilayer(0.5)],
+     ["mlp", "baseline", "baseline", "mlp"]),
 ])
 def test_law_rates_are_bitwise_the_eval_signal(sizes, out_act, loss, kind):
+    losses, kinds = (loss, kind) if isinstance(loss, list) else ([loss], [kind])
+    runs = () if len(losses) == 1 else (len(losses),)  # a lone run has no run axis
     for seed in range(5):
         rng = np.random.default_rng(seed)
         mlp = Mlp.random(sizes, seed=seed, output_activation=out_act)
-        law = _Law(mlp, loss, GainSchedule.uniform(1.3), "auto")
-        assert law.kind == kind
-        weights = [rng.uniform(-2.0, 2.0, w.shape) for w in mlp.weights]
+        law = _Law(mlp, losses, GainSchedule.uniform(1.3), ["auto"] * len(losses))
+        assert law.kinds == kinds
+        weights = [rng.uniform(-2.0, 2.0, runs + w.shape) for w in mlp.weights]
         x = rng.uniform(-1.0, 1.0, sizes[0])
         x[seed % sizes[0]] = 0.0  # sign(x) = 0 freezes that weight
         y_star = rng.uniform(-1.0, 1.0, sizes[-1])
