@@ -36,8 +36,7 @@ def main():
 
     integ = Integrator(method="rk4", dt=5e-5, t_max=0.4, record_stride=100)
     traj = integrate(mlp, TheoryFlow(x, np.array([-3.0])), loss,
-                     GainSchedule.uniform(1.0), integ, StoppingRule(1e-9),
-                     law="mlp")
+                     GainSchedule.uniform(1.0), integ, StoppingRule(1e-9))
 
     report = verify_decrease(traj, c=1.0, beta=loss.beta)
     print(f"records              = {traj.n_records()}")

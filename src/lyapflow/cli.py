@@ -125,13 +125,13 @@ def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:
                       step_budget=cfg.step_budget)
 
 
-def _build_spec(cfg: ExperimentConfig, loss, m_override=None):
+def _build_spec(cfg: ExperimentConfig, m_override=None):
     if cfg.perturb_mode is None and m_override is None:
         return None
     mode = cfg.perturb_mode or "vanishing"
     alpha = cfg.perturb_alpha
     if alpha is None and mode == "vanishing":
-        alpha = getattr(loss, "alpha", 0.7)
+        alpha = cfg.alpha
     M = cfg.perturb_m if m_override is None else m_override
     return PerturbationSpec(mode, M, alpha, cfg.seed, cfg.redraw_every)
 
@@ -162,7 +162,10 @@ def resolve(cfg: ExperimentConfig, args) -> Problem:
     time step."""
     dataset = _build_dataset(cfg)
     mlp = _build_net(cfg)
-    law = select_law(mlp, cfg.loss_kind == "lyapunov", cfg.law)
+    law = select_law(mlp, cfg.loss_kind == "lyapunov")
+    if cfg.beta is not None and law != "mlp":
+        raise ConfigError([f"loss.beta applies to the layered law only; this run "
+                           f"follows the {law} law"])
     loss = _build_loss(cfg, law, args.unsafe_alpha)
     mode = _build_mode(cfg, dataset)
     try:
@@ -171,7 +174,7 @@ def resolve(cfg: ExperimentConfig, args) -> Problem:
     except (AssumptionError, ValueError) as exc:
         gamma = exc
     prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
-                   StoppingRule(cfg.epsilon), _build_spec(cfg, loss), gamma,
+                   StoppingRule(cfg.epsilon), _build_spec(cfg), gamma,
                    initial_loss(mlp, mode, loss))
     # one rule for every command: T/1e5 of the noise-free certificate
     prob.integ = _build_integrator(cfg, prob.certificate(None)[0])
@@ -229,7 +232,7 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
     bound, refusal = prob.certificate(spec)
 
     traj = integrate(prob.mlp, prob.mode, loss, prob.gains, prob.integ, prob.stop,
-                     law=prob.law, noise=spec)
+                     noise=spec)
 
     traj.to_csv(out / "trajectory.csv")
     lines = [
@@ -272,8 +275,7 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
         raise ConfigError(["compare needs loss.kind = lyapunov as the reference"])
 
     losses = [prob.loss, L1Loss(), L2Loss()]
-    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop,
-                            law=[prob.law, "baseline", "baseline"])
+    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop)
     runs = [(loss.name, traj) for loss, traj in zip(losses, _delivered(trajs))]
 
     lines = [
@@ -328,10 +330,10 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
         raise ConfigError(["perturb-sweep needs sweep.m_values"])
     prob = resolve(cfg, args)
     gains = prob.gains
-    specs = [_build_spec(cfg, prob.loss, m_override=m) for m in cfg.m_values]
+    specs = [_build_spec(cfg, m_override=m) for m in cfg.m_values]
     bounds = [prob.certificate(spec)[0] for spec in specs]
     trajs = integrate_batch(prob.mlp, prob.mode, prob.loss, gains, prob.integ, prob.stop,
-                            law=prob.law, noises=specs)
+                            noises=specs)
 
     lines = [
         "command = perturb-sweep",
@@ -381,8 +383,7 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
         raise ConfigError(["alpha-sweep needs loss.kind = lyapunov"])
     # every level's loss is built, or refused, before the first row prints
     losses = [_build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a) for a in cfg.alphas]
-    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop,
-                            law=prob.law)
+    trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop)
 
     lines = ["command = alpha-sweep", f"seed = {cfg.seed}",
              f"dt = {_num(prob.integ.dt)}", f"levels = {len(cfg.alphas)}"]

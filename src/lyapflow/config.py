@@ -9,7 +9,7 @@ bad config in one round trip instead of five.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -123,7 +123,6 @@ class ExperimentConfig:
     loss_kind: str = "lyapunov"
     alpha: float = 0.7
     beta: float = None
-    law: str = "auto"
 
     # gains
     k: float = 1.0
@@ -171,7 +170,6 @@ class ExperimentConfig:
     # sweeps
     alphas: tuple = ()
     m_values: tuple = ()
-    problems: list = field(default_factory=list, repr=False)
 
 
 # key -> (attribute, parser)
@@ -183,7 +181,6 @@ _KEYS = {
     "loss.kind": ("loss_kind", _choice("lyapunov", "l1", "l2")),
     "loss.alpha": ("alpha", float),
     "loss.beta": ("beta", float),
-    "loss.law": ("law", _choice("auto", "single_neuron", "mlp", "baseline")),
     "gains.k": ("k", _positive),
     "integ.method": ("method", _choice("rk4", "euler")),
     "integ.dt": ("dt", _positive),
@@ -269,17 +266,19 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
             probs.append(f"{source}: data.source=csv needs data.path")
         if cfg.feature_cols is None or cfg.target_cols is None:
             probs.append(f"{source}: data.source=csv needs data.features and data.targets")
-    if cfg.loss_kind == "lyapunov" and cfg.law == "baseline":
-        probs.append(f"{source}: loss.law = baseline needs loss.kind = l1 or l2")
-    elif cfg.loss_kind != "lyapunov" and cfg.law in ("single_neuron", "mlp"):
-        probs.append(f"{source}: loss.law = {cfg.law} needs loss.kind = lyapunov")
     if cfg.perturb_mode is not None and cfg.perturb_m is None:
         probs.append(f"{source}: perturb.mode needs perturb.M")
     if any(not 0.0 <= a < 1.0 for a in cfg.alphas):
         probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
-    alpha = cfg.perturb_alpha  # amplitude noise ignores it
-    if cfg.perturb_mode != "amplitude" and alpha is not None and not 0.0 <= alpha < 1.0:
-        probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
+    # a vanishing envelope's exponent is perturb.alpha, else loss.alpha;
+    # amplitude noise ignores both
+    if cfg.perturb_mode != "amplitude":
+        if cfg.perturb_alpha is not None:
+            if not 0.0 <= cfg.perturb_alpha < 1.0:
+                probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
+        elif (cfg.perturb_mode or cfg.m_values) and not 0.0 <= cfg.alpha < 1.0:
+            probs.append(f"{source}: loss.alpha = {cfg.alpha!r} is the vanishing envelope's "
+                         "exponent without perturb.alpha; it must lie in [0, 1)")
     if cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample
         probs.append(f"{source}: perturb.redraw_every > 1 needs mode.kind = theory; "
                      "epoch mode draws fresh noise for every sample")

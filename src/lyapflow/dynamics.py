@@ -3,7 +3,7 @@
 Two run modes:
 
 * ``TheoryFlow`` -- one fixed (x, y*) pair; the weight state follows the
-  selected law exactly, so the settling-time certificates apply.
+  run's law exactly, so the settling-time certificates apply.
 * ``EpochFlow`` -- per-sample Euler steps cycling a dataset in order; the
   loss is recorded once per epoch as the dataset-summed value.  This is the
   engineering analogue of discrete training; no certificate covers it, and
@@ -15,10 +15,11 @@ rows of a compare or an alpha-sweep).  Noise levels share one noise
 stream, so ``integrate_batch`` refuses specs that differ in anything but M.
 Each weight layer is one (R, out, in+1) array, so a step costs one numpy
 call per operation whatever R is, and each run rounds exactly as it would
-alone.  One law object serves a lone run and every stack.  It groups the
-runs into stretches that share a law and its loss (gradient-flow runs share
-only their law); the forward pass, the back-propagation and dE/dW run once
-for the stack, and only E, dE/de and the law's last step run per stretch.
+alone.  The net and each run's loss decide the run's law (``select_law``).
+One law object serves a lone run and every stack.  It groups the runs into
+stretches that share a law and its loss (gradient-flow runs share only
+their law); the forward pass, the back-propagation and dE/dW run once for
+the stack, and only E, dE/de and the law's last step run per stretch.
 A lone run or a noise stack is one stretch and is never sliced.  A run that
 settles, diverges or fails leaves the active set at once: the stack is
 compacted, never masked.
@@ -193,41 +194,35 @@ def initial_loss(mlp: Mlp, mode, loss) -> float:
 
 
 def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
-    """The law a run follows: 'auto' resolved, the named law checked against
-    the net and the loss (`lyapunov` is whether it is the Lyapunov loss)."""
-    if not lyapunov:
-        if law not in ("auto", "baseline"):
-            raise ModeError(f"law {law!r} requires the Lyapunov loss")
-        return "baseline"
-    is_single = (
-        mlp.n_layers == 1
-        and mlp.n_outputs == 1
-        and mlp.activations[-1] is Activation.SIGMOID
-    )
-    if law == "auto":
-        return "single_neuron" if is_single else "mlp"
-    if law == "single_neuron" and not is_single:
+    """The law the net and the loss give (`lyapunov` is whether it is the
+    Lyapunov loss): the single-neuron law for one sigmoid unit, the layered
+    law for any other net, gradient flow for the L1/L2 baselines.  A named
+    `law` is only checked against it."""
+    single = (mlp.n_layers == 1 and mlp.n_outputs == 1
+              and mlp.activations[-1] is Activation.SIGMOID)
+    kind = "baseline" if not lyapunov else "single_neuron" if single else "mlp"
+    if law not in ("auto", kind):
         raise ModeError(
-            "single-neuron law needs exactly one sigmoid unit; "
-            f"got layer sizes {mlp.layer_sizes} with {mlp.activations[-1].value} output"
+            f"law {law!r} does not fit the run: layer sizes {mlp.layer_sizes}, "
+            f"{mlp.activations[-1].value} output and the "
+            f"{'Lyapunov' if lyapunov else 'baseline'} loss give the {kind!r} law"
         )
-    if law not in ("single_neuron", "mlp"):
-        raise ModeError(f"unknown law {law!r}")
-    return law
+    return kind
 
 
 class _Law:
     """(E, error, control signal) of a weight state, for one run or a stack.
 
-    Run r follows laws[r] under losses[r].  Consecutive runs that share a law
-    and its loss form a stretch (gradient flow does not read its loss, so one
-    call serves L1 and L2 runs), rebuilt when compaction changes the active
-    set.  One stretch, a lone run or a noise stack, is never sliced."""
+    Run r follows the law the net and losses[r] give (``select_law``),
+    checked against `law` unless it is 'auto'.  Consecutive runs that share a
+    law and its loss form a stretch (gradient flow does not read its loss, so
+    one call serves L1 and L2 runs), rebuilt when compaction changes the
+    active set.  One stretch, a lone run or a noise stack, is never sliced."""
 
-    def __init__(self, mlp: Mlp, losses, gains: GainSchedule, laws):
+    def __init__(self, mlp: Mlp, losses, gains: GainSchedule, law: str):
         self.mlp, self.gains = mlp, gains
         self._group([select_law(mlp, isinstance(loss, LyapunovLoss), law)
-                     for loss, law in zip(losses, laws)], list(losses))
+                     for loss in losses], list(losses))
 
     def _group(self, kinds: list, losses: list) -> None:
         self.kinds, self.losses = kinds, losses
@@ -495,6 +490,7 @@ def integrate(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
     `noise`, if given, is a perturbation spec applied to the inputs only:
     a fresh offset is drawn every `noise.redraw_every` steps and held across
     the stages of a step, from a generator seeded with `noise.seed`.
+    The net and the loss decide the law; a named `law` is only checked.
 
     Raises HorizonError if t_max/dt exceeds the step budget, and
     DivergenceError if the state stops being finite.
@@ -512,17 +508,18 @@ def _check_targets(y_star) -> None:
 
 
 def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
-                    stop: StoppingRule, law="auto", noises=None) -> list:
+                    stop: StoppingRule, law: str = "auto", noises=None) -> list:
     """Integrate one flow from `mlp` once per run, as one stack.
 
     The runs differ in their noise level or in their loss, never in both.
     Run r perturbs its inputs by `noises[r]` (one noise-free run if `noises`
     is None); the specs may differ only in M (else ValueError, as for an
     empty list), and the runs share one noise stream, the same unit draws
-    scaled by each run's envelope.  Or `loss` is a list of one loss per run,
-    and `law` one law name for every run or a list of one per run.  Returns
-    one entry per run: its Trajectory, or the error that stopped it alone --
-    DivergenceError, ShapeError for a non-finite perturbed input or
+    scaled by each run's envelope.  Or `loss` is a list of one loss per run
+    (else ValueError when empty).  Each run follows the law the net and its
+    loss give (``select_law``); a named `law` is only checked against it.
+    Returns one entry per run: its Trajectory, or the error that stopped it
+    alone -- DivergenceError, ShapeError for a non-finite perturbed input or
     OverflowError for a non-finite draw range.
     Errors that concern every run (step budget, shapes, law) are raised.
     """
@@ -540,12 +537,10 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
         raise ValueError("the runs of a stack differ in noise level or in loss, not both")
     else:
         losses = list(loss)
-    laws = [law] * len(losses) if isinstance(law, str) else list(law)
-    if not losses or len(laws) != len(losses):
-        raise ValueError(f"a stack needs one law per loss: {len(losses)} losses, "
-                         f"{len(laws)} laws")
+    if not losses:
+        raise ValueError("a stack needs one or more losses")
     work = mlp.copy()
-    rule = _Law(work, losses, gains, laws)
+    rule = _Law(work, losses, gains, law)
     if isinstance(mode, TheoryFlow):
         if mode.x.shape != (work.n_inputs,) or mode.y_star.shape != (work.n_outputs,):
             raise ShapeError(

@@ -150,7 +150,6 @@ class ForwardTrace:
     a leading run axis, except acts[0] when every run shares one input.
     """
 
-    x: np.ndarray
     preacts: list = field(default_factory=list)
     acts: list = field(default_factory=list)
     y: np.ndarray = None
@@ -216,7 +215,7 @@ def forward(mlp: Mlp, x) -> ForwardTrace:
         a = w @ z if z.ndim == 1 else (w @ z[..., None])[..., 0]
         preacts.append(a)
         y = act.apply(a)
-    return ForwardTrace(sample.x, preacts, acts, y)
+    return ForwardTrace(preacts, acts, y)
 
 
 def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss, e=None) -> Deltas:

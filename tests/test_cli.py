@@ -182,7 +182,13 @@ def test_bias_unit_gamma_gets_no_single_neuron_certificate(tmp_path, capsys):
     ("net.layers = 2, 3, 1\nnet.output_activation = identity\nmode.x = 0.1, 0.05\n"
      "mode.y_star = 0.9\ninteg.dt = 5e-4\n",
      "bound.gamma_source = bias_unit", "mlp", 6.4),
-], ids=["flavor", "gamma_source"])
+    # the README neuron: the layered law on its one sigmoid unit read
+    # T = 0.00935 and had not settled at t = 5; the single-neuron run settles
+    # at 0.00888 under T = 0.02488
+    ("net.layers = 4, 1\nnet.init = zeros\nmode.x = 1, -0.6, 0.8, 0.4\n"
+     "mode.y_star = 0.48\nbound.gamma = 1\n",
+     "loss.law = mlp", "single_neuron", 0.00888),
+], ids=["flavor", "gamma_source", "law"])
 def test_a_config_cannot_pick_a_certificate_its_run_breaks(tmp_path, capsys, text, removed,
                                                            flavor, settles_at):
     out = tmp_path / "out"
@@ -194,6 +200,36 @@ def test_a_config_cannot_pick_a_certificate_its_run_breaks(tmp_path, capsys, tex
     kv = _summary(out)
     assert kv["bound.flavor"] == flavor
     assert float(kv["bound.T"]) > settles_at
+
+
+@pytest.mark.parametrize("text, law", [
+    (SINGLE_NEURON, "single_neuron"),
+    (SINGLE_NEURON + "loss.kind = l2\n", "baseline"),
+], ids=["single_neuron", "baseline"])
+def test_loss_beta_needs_the_layered_law(tmp_path, capsys, text, law):
+    # the single-neuron law once dropped it silently: bound printed
+    # beta = alpha/(alpha+1) and exited 0
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text + "loss.beta = 0.1\n")
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 2
+    assert f"loss.beta applies to the layered law only; this run follows the {law} law" \
+        in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_vanishing_envelope_defaults_to_loss_alpha_for_baseline_losses(tmp_path):
+    # an L2 run once took the envelope exponent 0.7, whatever loss.alpha said
+    base = ("net.layers = 4, 1\nnet.init = zeros\nloss.kind = l2\n"
+            "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n"
+            "integ.dt = 1e-3\ninteg.t_max = 0.05\nperturb.mode = vanishing\nperturb.M = 0.5\n")
+    runs = {}
+    for name, extra in (("inherited", "loss.alpha = 0.2\n"), ("given", "perturb.alpha = 0.2\n"),
+                        ("default", "perturb.alpha = 0.7\n")):
+        runs[name] = tmp_path / name
+        cfg = _write(tmp_path, base + extra, name=f"{name}.kv")
+        assert main(["train", "--config", cfg, "--out", str(runs[name])]) == 0
+    traj = {name: (out / "trajectory.csv").read_bytes() for name, out in runs.items()}
+    assert traj["inherited"] == traj["given"] != traj["default"]
 
 
 def test_epoch_mode_train_reports_euler(tmp_path):

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from lyapflow.cli import main
-from lyapflow.config import config_from_text, load_config, parse_kv
+from lyapflow.config import _KEYS, config_from_text, load_config, parse_kv
 from lyapflow.errors import ConfigError
 
 
@@ -34,7 +36,7 @@ def test_config_happy_path_covers_key_groups():
         "net.init = zeros\n"
         "loss.kind = lyapunov\n"
         "loss.alpha = 0.5\n"
-        "loss.law = mlp\n"
+        "loss.beta = 0.2\n"
         "gains.k = 2.5\n"
         "integ.method = euler\n"
         "integ.dt = 1e-4\n"
@@ -51,8 +53,7 @@ def test_config_happy_path_covers_key_groups():
     assert cfg.layers == (4, 8, 1)
     assert cfg.output_activation == "identity"
     assert cfg.init == "zeros"
-    assert cfg.alpha == 0.5
-    assert cfg.law == "mlp"
+    assert cfg.alpha == 0.5 and cfg.beta == 0.2
     assert cfg.k == 2.5
     assert cfg.method == "euler"
     assert cfg.dt == 1e-4
@@ -120,24 +121,6 @@ def test_epoch_and_csv_cross_checks():
     assert any("data.features" in p for p in probs)
 
 
-def test_law_and_loss_kind_cross_checks(tmp_path, capsys):
-    base = "mode.x = 1\nmode.y_star = 0.5\n"
-    for kind, law in (("lyapunov", "baseline"), ("l1", "single_neuron"),
-                      ("l2", "mlp"), ("l1", "mlp")):
-        with pytest.raises(ConfigError, match=f"loss.law = {law} needs"):
-            config_from_text(base + f"loss.kind = {kind}\nloss.law = {law}\n")
-    for kind, law in (("l1", "baseline"), ("l2", "auto"), ("lyapunov", "mlp")):
-        config_from_text(base + f"loss.kind = {kind}\nloss.law = {law}\n")
-
-    # refused when the file is read, not partway through the run
-    path = tmp_path / "run.kv"
-    path.write_text("net.layers = 4, 1\nnet.init = zeros\nloss.law = baseline\n"
-                    "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n")
-    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "loss.law = baseline needs" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
-
-
 def test_perturb_and_positivity_cross_checks():
     with pytest.raises(ConfigError, match="needs perturb.M"):
         config_from_text("mode.x = 1\nmode.y_star = 0.5\nperturb.mode = vanishing\n")
@@ -174,6 +157,17 @@ def test_noise_levels_are_checked_when_read():
     with pytest.raises(ConfigError, match="perturb.alpha"):
         config_from_text(base + "perturb.alpha = 1.0\n")
     config_from_text(base + "sweep.m_values = 0, 0.5, 2\nperturb.alpha = 0\n")
+    # without perturb.alpha a vanishing envelope inherits loss.alpha, whatever
+    # the loss; a sweep without perturb.mode builds vanishing envelopes
+    for noise in ("perturb.mode = vanishing\nperturb.M = 0.1\n", "sweep.m_values = 0.1\n"):
+        for alpha in ("1.5", "-0.2", "nan"):
+            with pytest.raises(ConfigError, match=f"loss.alpha = {alpha} is the vanishing"):
+                config_from_text(base + f"loss.kind = l2\nloss.alpha = {alpha}\n" + noise)
+        config_from_text(base + "loss.kind = l2\nloss.alpha = 1.5\nperturb.alpha = 0.5\n"
+                         + noise)
+    config_from_text(base + "loss.kind = l2\nloss.alpha = 1.5\n")
+    config_from_text(base + "loss.kind = l1\nloss.alpha = 1.5\n"
+                     "perturb.mode = amplitude\nperturb.M = 0.1\n")
     # amplitude noise has no alpha to check
     config_from_text(base + "perturb.mode = amplitude\nperturb.M = 0.2\nperturb.alpha = 1.2\n")
 
@@ -247,3 +241,12 @@ def test_non_finite_sample_exits_2_when_read(tmp_path, capsys, key, value):
     assert main(["bound", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"bad value for '{key}': must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_readme_documents_exactly_the_config_keys():
+    # the fenced block after the README's "Keys:" line lists every key once
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\nKeys:\n", 1)[1].split("```", 2)[1]
+    documented = set(parse_kv(block, source="README.md"))
+    assert documented - set(_KEYS) == set(), "documented but not accepted"
+    assert set(_KEYS) - documented == set(), "accepted but not documented"

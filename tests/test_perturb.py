@@ -324,11 +324,10 @@ def test_a_level_in_a_batch_is_bitwise_the_level_alone(law, flow, envelope, leve
                 else LyapunovLoss.multilayer)
     losses = [L1Loss() if r == "l1" else L2Loss() if r == "l2" else lyapunov(r)
               for r in rows]
-    laws = ["auto" if isinstance(l, LyapunovLoss) else "baseline" for l in losses]
-    stacked = dynamics.integrate_batch(mlp, mode, losses, gains, integ, stop, law=laws)
-    for run_loss, run_law, got in zip(losses, laws, stacked):
+    stacked = dynamics.integrate_batch(mlp, mode, losses, gains, integ, stop)
+    for run_loss, got in zip(losses, stacked):
         try:
-            want = integrate(mlp, mode, run_loss, gains, integ, stop, law=run_law)
+            want = integrate(mlp, mode, run_loss, gains, integ, stop)
         except DivergenceError as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
         else:
