@@ -5,21 +5,19 @@ with 0 < beta < 1, then E reaches zero no later than
 
     T = E0**(1-beta) / (c * (1-beta)),
 
-because E(t)**(1-beta) decreases at the constant rate c*(1-beta).  The three
-flavors only differ in the constant c:
+because E(t)**(1-beta) decreases at the constant rate c*(1-beta).  Only the
+single-neuron law is proven to obey it, in two flavors, with beta = a/(a+1):
 
-    single_neuron   c = k_min * gamma            (beta forced to a/(a+1))
-    mlp             c = k_min * gamma**(alpha+1)
+    single_neuron   c = k_min * gamma
     perturbed       c = (k_min - M) * gamma      (needs k_min > M)
 
 gamma is the excitation level: some input entry of every sample exceeds it.
-It is the user's value or the data minimum, never the constant bias entry:
-the single-neuron law freezes its bias weight, and a 2-3-1 layered run
-overshot its gamma = 1 certificate 17-fold.
+It is the user's value or the data minimum, never the frozen bias entry.
 
 ``certify`` is the one certificate policy: it decides whether a run gets a
 certificate and of which flavor, from the run's law and its noise, and it
-alone marks an epoch-mode certificate ``heuristic``.
+alone marks an epoch-mode certificate ``heuristic``.  The layered law gets
+none: its rate bound fails near the settle, where |e|**alpha vanishes.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ __all__ = [
     "verify_decrease",
 ]
 
-FLAVORS = ("single_neuron", "mlp", "perturbed")
+FLAVORS = ("single_neuron", "perturbed")
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,12 @@ class SettlingBound:
 def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
                    loss: LyapunovLoss, flavor: str = "single_neuron",
                    M: float | None = None) -> SettlingBound:
-    """Certified upper bound on the settling time of a theory-mode run."""
+    """Certified upper bound on the settling time of a single-neuron theory-mode run."""
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     if not (E0 > 0 and math.isfinite(E0)):
         raise ValueError(f"E0 must be finite and > 0, got {E0}")
-    alpha = loss.alpha
-    beta = alpha / (alpha + 1.0) if flavor == "single_neuron" else loss.beta
+    beta = loss.alpha / (loss.alpha + 1.0)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"certificate needs 0 < beta < 1, got beta={beta}")
     k_min = gains.k_min
@@ -134,8 +131,6 @@ def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
                 f"level M = {M}"
             )
         c = (k_min - M) * gamma.gamma
-    elif flavor == "mlp":
-        c = k_min * gamma.gamma ** (alpha + 1.0)
     else:
         c = k_min * gamma.gamma
     T = E0 ** (1.0 - beta) / (c * (1.0 - beta))
@@ -148,22 +143,25 @@ def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
     """(certificate, None) for a run of the resolved `law` under the input
     `noise` spec (or none), else (None, why it gets none).
 
-    The flavor is 'perturbed' under vanishing noise, else the law.  Refused:
-    a loss other than the Lyapunov loss, E0 <= 0, amplitude noise, M >= k_min
-    and whatever else ``settling_bound`` rejects.  `gamma` is a
-    GammaEstimate or the error that stopped its estimate.  An `epoch`-mode
-    run steps sample by sample, which the single-sample flow's certificate
-    does not cover: its certificate is marked heuristic.
+    The flavor is 'perturbed' under vanishing noise, else 'single_neuron'.
+    Refused: a loss other than the Lyapunov loss, a law other than the
+    single-neuron one, E0 <= 0, amplitude noise, M >= k_min and whatever else
+    ``settling_bound`` rejects.  `gamma` is a GammaEstimate or the error that
+    stopped its estimate.  An `epoch`-mode run steps sample by sample, which
+    the single-sample flow's certificate does not cover: it is marked heuristic.
     """
     if not isinstance(loss, LyapunovLoss):
         return None, f"no certificate for {loss.name} loss"
+    if law != "single_neuron":
+        return None, (f"no certificate for the layered ({law}) law: its output-layer "
+                      "gradient carries |e|^alpha, so dE/dt <= -c E^beta fails near the settle")
     if E0 <= 0:
         return None, "already settled at t = 0"
     if noise is not None and noise.mode == "amplitude":
         return None, "amplitude-mode noise carries no certificate"
     if isinstance(gamma, Exception):
         return None, str(gamma)
-    flavor, M = (law, None) if noise is None else ("perturbed", noise.M)
+    flavor, M = ("single_neuron", None) if noise is None else ("perturbed", noise.M)
     try:
         return replace(settling_bound(E0, gains, gamma, loss, flavor=flavor, M=M),
                        heuristic=epoch), None
@@ -175,7 +173,6 @@ def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
 class DecreaseReport:
     """Central-difference check of dE/dt <= -c E**beta along a trajectory."""
 
-    indices: np.ndarray
     slopes: np.ndarray
     required: np.ndarray
     slack: np.ndarray
@@ -214,7 +211,6 @@ def verify_decrease(traj, c: float, beta: float,
     slack = slack_scale * (1.0 + rate)
     passed = slopes <= -rate + slack
     return DecreaseReport(
-        indices=np.arange(1, len(E) - 1),
         slopes=slopes,
         required=-rate,
         slack=slack,

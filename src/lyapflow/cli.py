@@ -185,6 +185,8 @@ def resolve(cfg: ExperimentConfig, args) -> Problem:
 
 
 def _write_kv(path, lines) -> None:
+    # every command writes summary.kv first: a refused command leaves no --out
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -234,7 +236,6 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
     traj = integrate(prob.mlp, prob.mode, loss, prob.gains, prob.integ, prob.stop,
                      noise=spec)
 
-    traj.to_csv(out / "trajectory.csv")
     lines = [
         "command = train",
         f"seed = {cfg.seed}",
@@ -256,6 +257,7 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
         lines.append(f"bound = none ({refusal})")
     lines += _traj_lines("", traj)
     _write_kv(out / "summary.kv", lines)
+    traj.to_csv(out / "trajectory.csv")
     _plot_series(out, [(f"{loss.name} loss", traj.t.tolist(), traj.E.tolist())],
                  title="training loss")
 
@@ -273,6 +275,8 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
     prob = resolve(cfg, args)
     if prob.law == "baseline":
         raise ConfigError(["compare needs loss.kind = lyapunov as the reference"])
+    if prob.noise is not None:
+        raise ConfigError(["compare runs noise-free; remove perturb.mode"])
 
     losses = [prob.loss, L1Loss(), L2Loss()]
     trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop)
@@ -381,6 +385,8 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     prob = resolve(cfg, args)
     if prob.law == "baseline":
         raise ConfigError(["alpha-sweep needs loss.kind = lyapunov"])
+    if prob.noise is not None:
+        raise ConfigError(["alpha-sweep runs noise-free; remove perturb.mode"])
     # every level's loss is built, or refused, before the first row prints
     losses = [_build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a) for a in cfg.alphas]
     trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop)
@@ -496,11 +502,8 @@ def main(argv=None) -> int:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out_dir = args.out
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-
     try:
-        return _COMMANDS[args.command](cfg, args, out)
+        return _COMMANDS[args.command](cfg, args, Path(cfg.out_dir or "."))
     except ConfigError as exc:
         print(f"error: bad config:\n{exc}", file=sys.stderr)
         return 2

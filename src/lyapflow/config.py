@@ -227,13 +227,13 @@ def config_from_text(text: str, source: str = "<config>") -> ExperimentConfig:
             setattr(cfg, attr, parser(raw))
         except ValueError as exc:
             problems.append(f"{source}: bad value for {key!r}: {exc}")
-    problems.extend(_cross_checks(cfg, source))
+    problems.extend(_cross_checks(cfg, source, pairs))
     if problems:
         raise ConfigError(problems)
     return cfg
 
 
-def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
+def _cross_checks(cfg: ExperimentConfig, source: str, given) -> list:
     probs = []
     if len(cfg.layers) < 2:
         probs.append(f"{source}: net.layers needs at least input,output sizes")
@@ -272,13 +272,19 @@ def _cross_checks(cfg: ExperimentConfig, source: str) -> list:
         probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
     # a vanishing envelope's exponent is perturb.alpha, else loss.alpha;
     # amplitude noise ignores both
+    inherits = False
     if cfg.perturb_mode != "amplitude":
         if cfg.perturb_alpha is not None:
             if not 0.0 <= cfg.perturb_alpha < 1.0:
                 probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
-        elif (cfg.perturb_mode or cfg.m_values) and not 0.0 <= cfg.alpha < 1.0:
-            probs.append(f"{source}: loss.alpha = {cfg.alpha!r} is the vanishing envelope's "
-                         "exponent without perturb.alpha; it must lie in [0, 1)")
+        elif cfg.perturb_mode or cfg.m_values:
+            inherits = True
+            if not 0.0 <= cfg.alpha < 1.0:
+                probs.append(f"{source}: loss.alpha = {cfg.alpha!r} is the vanishing "
+                             "envelope's exponent without perturb.alpha; it must lie in [0, 1)")
+    if "loss.alpha" in given and cfg.loss_kind != "lyapunov" and not inherits:
+        probs.append(f"{source}: loss.alpha applies to the lyapunov loss, or to a vanishing "
+                     f"envelope without perturb.alpha; loss.kind = {cfg.loss_kind} ignores it")
     if cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample
         probs.append(f"{source}: perturb.redraw_every > 1 needs mode.kind = theory; "
                      "epoch mode draws fresh noise for every sample")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    name: str = "dataset"
-    notes: list = field(default_factory=list)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -75,7 +73,7 @@ class CsvSchema:
             raise DataError(f"columns listed as both feature and target: {sorted(overlap)}")
 
 
-def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
+def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a headered CSV into a Dataset.
 
     Every schema column must appear in the header; any row with a missing or
@@ -117,7 +115,7 @@ def load_csv(path, schema: CsvSchema, name: str | None = None) -> Dataset:
             raise DataError(f"{path}: non-numeric or missing cells in data rows {bad}")
         if not xs:
             raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(xs), np.array(ys), name=name or str(path))
+    return Dataset(np.array(xs), np.array(ys))
 
 
 def _cell(row, idx) -> float:
@@ -132,20 +130,16 @@ def _cell(row, idx) -> float:
 def normalize(dataset: Dataset) -> Dataset:
     """Min-max scale each feature column onto [0, 1].
 
-    Constant columns cannot be scaled; they are set to all zeros and the
-    fact is recorded in the dataset notes.
+    Constant columns cannot be scaled; they are set to all zeros.
     """
     lo = dataset.inputs.min(axis=0)
     hi = dataset.inputs.max(axis=0)
     span = hi - lo
     out = np.zeros_like(dataset.inputs)
-    notes = list(dataset.notes)
     for j in range(dataset.n_features):
-        if span[j] == 0.0:
-            notes.append(f"feature {j} is constant; normalised to all zeros")
-        else:
+        if span[j] != 0.0:
             out[:, j] = (dataset.inputs[:, j] - lo[j]) / span[j]
-    return Dataset(out, dataset.targets.copy(), name=dataset.name + ":minmax", notes=notes)
+    return Dataset(out, dataset.targets.copy())
 
 
 def gen_blobs(seed: int, per_class: int = 50, separation: float = 5.0) -> Dataset:
@@ -164,7 +158,7 @@ def gen_blobs(seed: int, per_class: int = 50, separation: float = 5.0) -> Datase
     x1 = rng.normal(loc=mean1, scale=1.0, size=(per_class, dim))
     xs = np.vstack([x0, x1])
     ys = np.vstack([np.zeros((per_class, 1)), np.ones((per_class, 1))])
-    return Dataset(xs, ys, name=f"blobs(sep={separation:g})")
+    return Dataset(xs, ys)
 
 
 def gen_linreg(seed: int, count: int = 40, noise_sd: float = 0.0,
@@ -176,4 +170,4 @@ def gen_linreg(seed: int, count: int = 40, noise_sd: float = 0.0,
     ys = xs @ coeffs
     if noise_sd > 0:
         ys = ys + rng.normal(0.0, noise_sd, size=ys.shape)
-    return Dataset(xs, ys[:, None], name=f"linreg(n={coeffs.size})")
+    return Dataset(xs, ys[:, None])

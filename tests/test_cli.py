@@ -7,6 +7,7 @@ artifacts.  Configs are kept small so the whole module stays fast.
 
 import filecmp
 
+import numpy as np
 import pytest
 
 from lyapflow.cli import main
@@ -28,6 +29,18 @@ SINGLE_NEURON = (
 )
 
 ARTIFACTS = ("trajectory.csv", "summary.kv", "loss_curve.svg", "curves.dat")
+
+LAYERED_REFUSAL = "none (no certificate for the layered (mlp) law"
+
+
+def _mlp_compare(seed, t_max=4.0):
+    """The 4-8-1 identity-output problem of the mlp_compare benchmark."""
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+    return ("net.layers = 4, 8, 1\nnet.output_activation = identity\nnet.init = random\n"
+            "net.scale = 0.5\nloss.alpha = 0.7\ngains.k = 1.0\ninteg.method = rk4\n"
+            f"integ.dt = 0.001\ninteg.t_max = {t_max!r}\ninteg.record_stride = 10\n"
+            f"mode.x = {', '.join(repr(float(v)) for v in x)}\nmode.y_star = -3.0\n"
+            f"run.seed = {seed}\n")
 
 
 def _write(tmp_path, text, name="run.kv"):
@@ -177,11 +190,11 @@ def test_bias_unit_gamma_gets_no_single_neuron_certificate(tmp_path, capsys):
     # settles at 0.2488 and the single-neuron certificate gives 0.24884
     ("net.layers = 2, 1\nnet.init = zeros\nmode.x = 2, 0\nmode.y_star = 0.9\n",
      "bound.flavor = mlp", "single_neuron", 0.2488),
-    # 2-3-1 identity net: gamma = 1 from the bias unit read T = 0.3737, the
-    # run settles at 6.4 and the data's gamma = 0.1 gives T = 18.73
+    # 2-3-1 identity net: gamma = 1 from the bias unit read T = 0.3737 and the
+    # run settles at 6.4; the layered law now gets no certificate at all
     ("net.layers = 2, 3, 1\nnet.output_activation = identity\nmode.x = 0.1, 0.05\n"
      "mode.y_star = 0.9\ninteg.dt = 5e-4\n",
-     "bound.gamma_source = bias_unit", "mlp", 6.4),
+     "bound.gamma_source = bias_unit", None, 6.4),
     # the README neuron: the layered law on its one sigmoid unit read
     # T = 0.00935 and had not settled at t = 5; the single-neuron run settles
     # at 0.00888 under T = 0.02488
@@ -196,15 +209,20 @@ def test_a_config_cannot_pick_a_certificate_its_run_breaks(tmp_path, capsys, tex
     assert main(["bound", "--config", cfg, "--out", str(out)]) == 2
     assert f"unknown key '{removed.split()[0]}'" in capsys.readouterr().err
 
-    assert main(["bound", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    refused = flavor is None
+    code = 1 if refused else 0
+    assert main(["bound", "--config", _write(tmp_path, text), "--out", str(out)]) == code
     kv = _summary(out)
-    assert kv["bound.flavor"] == flavor
-    assert float(kv["bound.T"]) > settles_at
+    if refused:
+        assert "bound.T" not in kv and kv["bound"].startswith(LAYERED_REFUSAL)
+    else:
+        assert kv["bound.flavor"] == flavor
+        assert float(kv["bound.T"]) > settles_at
 
 
 @pytest.mark.parametrize("text, law", [
     (SINGLE_NEURON, "single_neuron"),
-    (SINGLE_NEURON + "loss.kind = l2\n", "baseline"),
+    (SINGLE_NEURON.replace("loss.alpha = 0.7\n", "") + "loss.kind = l2\n", "baseline"),
 ], ids=["single_neuron", "baseline"])
 def test_loss_beta_needs_the_layered_law(tmp_path, capsys, text, law):
     # the single-neuron law once dropped it silently: bound printed
@@ -214,7 +232,7 @@ def test_loss_beta_needs_the_layered_law(tmp_path, capsys, text, law):
     assert main(["bound", "--config", cfg, "--out", str(out)]) == 2
     assert f"loss.beta applies to the layered law only; this run follows the {law} law" \
         in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_vanishing_envelope_defaults_to_loss_alpha_for_baseline_losses(tmp_path):
@@ -523,4 +541,80 @@ def test_perturb_sweep_reports_the_lowest_diverging_level(tmp_path, capsys):
         "         0     False         none         0.01            0\n"
     )
     assert captured.err == "error: state diverged (NaN/Inf) at t=7.09\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, noise, t_max", [
+    # the layered certificate read T = 3.084; compare's Lyapunov row settles at 3.282
+    (0, "", 4.0),
+    # the perturbed certificate read T = 2.913; train settles at 3.04
+    (11, "perturb.mode = vanishing\nperturb.M = 0.1\n", 12.0),
+], ids=["p0", "p11-vanishing"])
+def test_the_layered_law_gets_no_certificate(tmp_path, capsys, seed, noise, t_max):
+    # the output-layer gradient carries |e|^alpha, so dE/dt <= -c E^beta
+    # fails near the settle, with or without noise.  bound runs no flow.
+    cfg = _write(tmp_path, _mlp_compare(seed, t_max) + noise)
+    assert main(["bound", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "refused (no certificate for the layered (mlp) law" in capsys.readouterr().out
+    kv = _summary(tmp_path / "b")
+    assert "bound.T" not in kv and kv["bound"].startswith(LAYERED_REFUSAL)
+    # train runs, and names the refusal in place of a certificate
+    short = _write(tmp_path, _mlp_compare(seed, 0.01) + noise, "short.kv")
+    assert main(["train", "--config", short, "--out", str(tmp_path / "t")]) == 0
+    kv = _summary(tmp_path / "t")
+    assert kv["law"] == "mlp" and kv["bound"].startswith(LAYERED_REFUSAL)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("compare", ""),
+    ("alpha-sweep", "sweep.alphas = 0.5, 0.7\n"),
+], ids=["compare", "alpha-sweep"])
+def test_compare_and_alpha_sweep_refuse_input_noise(tmp_path, capsys, command, extra):
+    # neither runs noise: compare once wrote the bytes of the noise-free run,
+    # and alpha-sweep ran noise-free without a word
+    cfg = _write(tmp_path, SINGLE_NEURON + "perturb.mode = vanishing\nperturb.M = 0.5\n"
+                 + extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command} runs noise-free; remove perturb.mode" in captured.err
+    assert not out.exists()
+
+
+L2_NEURON = ("net.layers = 4, 1\nnet.init = zeros\nloss.kind = l2\n"
+             "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n"
+             "integ.dt = 1e-3\ninteg.t_max = 0.05\n")
+
+
+def test_loss_alpha_is_refused_where_nothing_reads_it(tmp_path, capsys):
+    # loss.alpha = 0.3 and 0.9 once gave byte-identical L2 artifacts
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, L2_NEURON + "loss.alpha = 0.3\n")
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "loss.kind = l2 ignores it" in capsys.readouterr().err
+    assert not out.exists()
+    # a sweep's vanishing envelope without perturb.alpha inherits it, unchanged
+    runs = {}
+    for name, extra in (("inherited", "loss.alpha = 0.2\n"), ("given", "perturb.alpha = 0.2\n")):
+        runs[name] = tmp_path / name
+        cfg = _write(tmp_path, L2_NEURON + "sweep.m_values = 0.5\n" + extra, f"{name}.kv")
+        assert main(["perturb-sweep", "--config", cfg, "--out", str(runs[name])]) == 0
+    assert filecmp.cmp(runs["inherited"] / "trajectory.csv", runs["given"] / "trajectory.csv",
+                       shallow=False)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("train", SINGLE_NEURON + "loss.beta = 0.1\n"),
+    ("bound", BLOBS + "net.layers = 2, 1\nmode.sample = 0\n"),
+    ("compare", L2_NEURON),
+    ("perturb-sweep", SINGLE_NEURON),
+    ("alpha-sweep", SINGLE_NEURON + "sweep.alphas = 0, 0.7\n"),
+], ids=["resolve", "data", "compare-baseline", "no-levels", "alpha-zero"])
+def test_a_refused_command_leaves_no_out_directory(tmp_path, capsys, command, text):
+    # main once made --out before the command resolved the config, so a
+    # refusal left an empty directory behind
+    out = tmp_path / "nested" / "out"
+    assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    assert "error: bad config" in capsys.readouterr().err
+    assert not (tmp_path / "nested").exists()

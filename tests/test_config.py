@@ -163,11 +163,18 @@ def test_noise_levels_are_checked_when_read():
         for alpha in ("1.5", "-0.2", "nan"):
             with pytest.raises(ConfigError, match=f"loss.alpha = {alpha} is the vanishing"):
                 config_from_text(base + f"loss.kind = l2\nloss.alpha = {alpha}\n" + noise)
-        config_from_text(base + "loss.kind = l2\nloss.alpha = 1.5\nperturb.alpha = 0.5\n"
-                         + noise)
-    config_from_text(base + "loss.kind = l2\nloss.alpha = 1.5\n")
-    config_from_text(base + "loss.kind = l1\nloss.alpha = 1.5\n"
-                     "perturb.mode = amplitude\nperturb.M = 0.1\n")
+        config_from_text(base + "loss.kind = l2\nloss.alpha = 0.2\n" + noise)
+    # where nothing inherits it, a baseline loss's loss.alpha is refused
+    # outright, not range-checked
+    for other in ("perturb.alpha = 0.5\nperturb.mode = vanishing\nperturb.M = 0.1\n",
+                  "perturb.alpha = 0.5\nsweep.m_values = 0.1\n", "",
+                  "perturb.mode = amplitude\nperturb.M = 0.1\n"):
+        for kind in ("l1", "l2"):
+            with pytest.raises(ConfigError) as err:
+                config_from_text(base + f"loss.kind = {kind}\nloss.alpha = 1.5\n" + other)
+            assert err.value.problems == [f"<config>: loss.alpha applies to the lyapunov "
+                                          "loss, or to a vanishing envelope without "
+                                          f"perturb.alpha; loss.kind = {kind} ignores it"]
     # amplitude noise has no alpha to check
     config_from_text(base + "perturb.mode = amplitude\nperturb.M = 0.2\nperturb.alpha = 1.2\n")
 

@@ -14,8 +14,7 @@ from lyapflow import (
 
 def test_save_load_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(8)
-    data = Dataset(rng.normal(size=(12, 3)) * 1e3, rng.normal(size=(12, 2)),
-                   name="roundtrip")
+    data = Dataset(rng.normal(size=(12, 3)) * 1e3, rng.normal(size=(12, 2)))
     path = tmp_path / "d.csv"
     rows = ["f0,f1,f2,t0,t1"] + [",".join(f"{v:.17g}" for v in (*x, *y))
                                  for x, y in zip(data.inputs, data.targets)]
@@ -86,9 +85,8 @@ def test_normalize_maps_columns_to_unit_range():
                    np.array([[1.0], [2.0], [3.0]]))
     normed = normalize(data)
     assert np.allclose(normed.inputs[:, 0], [0.0, 1.0, 0.5])
-    # constant column collapses to zeros, and the fact is recorded
+    # constant column collapses to zeros
     assert np.all(normed.inputs[:, 1] == 0.0)
-    assert any("constant" in note for note in normed.notes)
     assert np.array_equal(normed.targets, data.targets)
 
 
@@ -134,8 +132,7 @@ def test_dataset_validation():
 
 
 def test_dataset_helpers():
-    data = Dataset(np.array([[1.0, -7.0], [2.0, 3.0]]), np.array([[0.5], [0.25]]),
-                   name="tiny")
+    data = Dataset(np.array([[1.0, -7.0], [2.0, 3.0]]), np.array([[0.5], [0.25]]))
     assert len(data) == 2
     assert data.n_features == 2 and data.n_targets == 1
     x, y = data.sample(1)
