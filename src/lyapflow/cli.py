@@ -10,7 +10,8 @@ Subcommands::
     lyapflow gradcheck     --config c.ini ...   backprop vs finite differences
 
 Exit codes: 0 success, 1 run failure (divergence, refused certificate,
-failed check), 2 bad configuration or usage.
+a train run that broke its certificate, failed check), 2 bad configuration
+or usage.
 
 Artifacts land in --out (or run.out, or the working directory):
 trajectory.csv, summary.kv, loss_curve.svg, curves.dat.  All outputs are
@@ -29,7 +30,7 @@ import numpy as np
 from . import datasets as ds_mod
 from .bounds import GammaEstimate, certify, estimate_gamma
 from .config import ExperimentConfig, load_config
-from .control import GainSchedule
+from .control import GainSchedule, lyapunov_rate_scale
 from .dynamics import (
     EpochFlow,
     Integrator,
@@ -40,7 +41,7 @@ from .dynamics import (
     integrate_batch,
     select_law,
 )
-from .errors import AssumptionError, ConfigError, LyapflowError
+from .errors import AssumptionError, ConfigError, GuaranteeError, LyapflowError
 from .losses import L1Loss, L2Loss, LyapunovLoss
 from .net import Activation, Mlp, forward, loss_gradient, sensitivities
 from .perturb import PerturbationSpec
@@ -114,10 +115,37 @@ def _build_mode(cfg: ExperimentConfig, dataset):
     return TheoryFlow(*dataset.sample(cfg.sample_index))
 
 
-def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:
+def _band_step(cfg: ExperimentConfig, T: float, inputs) -> float:
+    """Default step of a certified run: T/1e3 at most (1,000 steps to T when
+    the band is wide), and short enough that the single-neuron error, which
+    moves at the constant speed v = k S rs, cannot step over its settle band
+    |e| <= b = ((alpha+1) epsilon)^(1/(alpha+1)).
+
+    With v dt <= b the step that enters the band starts at |e| <= 2b, and no
+    RK4 stage crosses e = 0.  S is the largest sum_i |x_i| + B_i over the
+    clean input rows, B the envelope of the largest noise level the config
+    names.  The step serves loss.alpha and every non-zero sweep.alphas level,
+    so every command on one config steps alike.
+    """
+    levels = list(cfg.m_values) + ([cfg.perturb_m] if cfg.perturb_mode else [])
+    rows = np.atleast_2d(inputs)
+    reach = np.abs(rows)
+    if levels:
+        reach = reach + _build_spec(cfg, m_override=max(levels)).bound_for(rows)
+    s_max = float(reach.sum(axis=1).max())
+    dt = T / 1e3
+    for a in [cfg.alpha] + [a for a in cfg.alphas if a > 0]:
+        band = ((a + 1.0) * cfg.epsilon) ** (1.0 / (a + 1.0))
+        speed = cfg.k * s_max * lyapunov_rate_scale(a)
+        if speed * dt > band:
+            dt = band / speed
+    return dt
+
+
+def _build_integrator(cfg: ExperimentConfig, bound, inputs) -> Integrator:
     dt = cfg.dt
     if dt is None:
-        dt = bound.T / 1e5 if bound is not None else 1e-3
+        dt = _band_step(cfg, bound.T, inputs) if bound is not None else 1e-3
     # epoch mode always takes per-sample Euler steps; name what runs
     method = "euler" if cfg.mode == "epoch" else cfg.method
     return Integrator(method=method, dt=dt, t_max=cfg.t_max,
@@ -168,16 +196,18 @@ def resolve(cfg: ExperimentConfig, args) -> Problem:
                            f"follows the {law} law"])
     loss = _build_loss(cfg, law, args.unsafe_alpha)
     mode = _build_mode(cfg, dataset)
+    inputs = mode.dataset.inputs if isinstance(mode, EpochFlow) else mode.x
     try:
         gamma = (GammaEstimate(cfg.gamma) if cfg.gamma is not None
-                 else estimate_gamma(dataset if isinstance(mode, EpochFlow) else mode.x))
+                 else estimate_gamma(inputs))
     except (AssumptionError, ValueError) as exc:
         gamma = exc
     prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
                    StoppingRule(cfg.epsilon), _build_spec(cfg), gamma,
                    initial_loss(mlp, mode, loss))
-    # one rule for every command: T/1e5 of the noise-free certificate
-    prob.integ = _build_integrator(cfg, prob.certificate(None)[0])
+    # one rule for every command: the band step under the noise-free
+    # certificate, else the 1e-3 fallback
+    prob.integ = _build_integrator(cfg, prob.certificate(None)[0], inputs)
     return prob
 
 
@@ -195,7 +225,7 @@ def _num(v) -> str:
     return repr(float(v))
 
 
-def _traj_lines(prefix: str, traj) -> list:
+def _traj_lines(prefix: str, traj, kept: str | None = None) -> list:
     lines = [
         f"{prefix}records = {traj.n_records()}",
         f"{prefix}final_t = {_num(traj.t[-1])}",
@@ -203,9 +233,20 @@ def _traj_lines(prefix: str, traj) -> list:
         f"{prefix}settled = {'true' if traj.settled_at is not None else 'false'}",
         f"{prefix}settled_at = "
         + (_num(traj.settled_at) if traj.settled_at is not None else "none"),
-        f"{prefix}monotone_violations = {traj.monotone_violations()}",
     ]
+    if kept is not None:
+        lines.append(f"{prefix}bound.kept = {kept}")
+    lines.append(f"{prefix}monotone_violations = {traj.monotone_violations()}")
     return lines
+
+
+def _kept(T: float, traj, dt: float) -> str:
+    """Whether a run kept its certificate T: 'false' if it is unsettled at T
+    or settled after T plus one step, 'unknown' if it stopped unsettled
+    before T, else 'true'."""
+    if traj.settled_at is not None:
+        return "true" if traj.settled_at <= T + dt else "false"
+    return "false" if traj.t[-1] >= T else "unknown"
 
 
 def _plot_series(out: Path, series, title: str) -> None:
@@ -255,7 +296,8 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
         lines += ["bound." + ln for ln in bound.kv_lines()]
     else:
         lines.append(f"bound = none ({refusal})")
-    lines += _traj_lines("", traj)
+    kept = None if bound is None else _kept(bound.T, traj, prob.integ.dt)
+    lines += _traj_lines("", traj, kept)
     _write_kv(out / "summary.kv", lines)
     traj.to_csv(out / "trajectory.csv")
     _plot_series(out, [(f"{loss.name} loss", traj.t.tolist(), traj.E.tolist())],
@@ -268,6 +310,11 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
     else:
         print(f"did not settle by t_max = {prob.integ.t_max:.6g}"
               f" (final E = {traj.E[-1]:.6g})")
+    if kept == "false":
+        state = (f"settled at t = {traj.settled_at:.6g}, after T = {bound.T:.6g} "
+                 f"plus one step" if traj.settled_at is not None
+                 else f"was unsettled at T = {bound.T:.6g} (final E = {traj.E[-1]:.6g})")
+        raise GuaranteeError(f"the run broke its certificate: it {state}")
     return 0
 
 

@@ -129,7 +129,7 @@ class ExperimentConfig:
 
     # integrator
     method: str = "rk4"
-    dt: float = None           # None -> derive from bound, else 1e-3
+    dt: float = None           # None -> the settle-band step under a certificate, else 1e-3
     t_max: float = 10.0
     record_stride: int = 1
     step_budget: int = 10_000_000
@@ -271,17 +271,19 @@ def _cross_checks(cfg: ExperimentConfig, source: str, given) -> list:
     if any(not 0.0 <= a < 1.0 for a in cfg.alphas):
         probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
     # a vanishing envelope's exponent is perturb.alpha, else loss.alpha;
-    # amplitude noise ignores both
-    inherits = False
-    if cfg.perturb_mode != "amplitude":
-        if cfg.perturb_alpha is not None:
-            if not 0.0 <= cfg.perturb_alpha < 1.0:
-                probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
-        elif cfg.perturb_mode or cfg.m_values:
-            inherits = True
-            if not 0.0 <= cfg.alpha < 1.0:
-                probs.append(f"{source}: loss.alpha = {cfg.alpha!r} is the vanishing "
-                             "envelope's exponent without perturb.alpha; it must lie in [0, 1)")
+    # amplitude noise, and a config without noise, read neither
+    vanishing = cfg.perturb_mode == "vanishing" or (cfg.perturb_mode is None
+                                                     and bool(cfg.m_values))
+    inherits = vanishing and cfg.perturb_alpha is None
+    if cfg.perturb_alpha is not None and not vanishing:
+        probs.append(f"{source}: perturb.alpha is the vanishing envelope's exponent; "
+                     + ("amplitude noise ignores it" if cfg.perturb_mode
+                        else "this config names no noise"))
+    elif cfg.perturb_alpha is not None and not 0.0 <= cfg.perturb_alpha < 1.0:
+        probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
+    if inherits and not 0.0 <= cfg.alpha < 1.0:
+        probs.append(f"{source}: loss.alpha = {cfg.alpha!r} is the vanishing "
+                     "envelope's exponent without perturb.alpha; it must lie in [0, 1)")
     if "loss.alpha" in given and cfg.loss_kind != "lyapunov" and not inherits:
         probs.append(f"{source}: loss.alpha applies to the lyapunov loss, or to a vanishing "
                      f"envelope without perturb.alpha; loss.kind = {cfg.loss_kind} ignores it")

@@ -6,12 +6,15 @@ artifacts.  Configs are kept small so the whole module stays fast.
 """
 
 import filecmp
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lyapflow.cli import main
-from lyapflow.config import parse_kv
+from lyapflow.cli import main, resolve
+from lyapflow.config import config_from_text, parse_kv
 
 # Single sigmoid neuron from zero weights: E0 = |0.5 - 0.48|^1.7 / 1.7,
 # settling bound T* ~ 8.9e-3 with unit gain.  Fast and settles cleanly.
@@ -482,6 +485,19 @@ DERIVED_DT = SINGLE_NEURON.replace("integ.dt = 1e-6\n", "") + (
     "sweep.m_values = 0, 0.2\nsweep.alphas = 0.5, 0.7\n")
 
 
+def _band_dt(x, alphas, k, epsilon, T, M=0.0, envelope_alpha=0.0):
+    """min(T/1e3, b / v_max) over `alphas`: b = ((alpha+1) epsilon)^(1/(alpha+1))
+    is the settle band of |e|, v_max = k S_max rs the top speed of e under the
+    single-neuron law, S_max = sum |x_i| + M |x_i|^envelope_alpha."""
+    s_max = sum(abs(v) + M * abs(v) ** envelope_alpha for v in x)
+    steps = [T / 1e3]
+    for a in alphas:
+        b = ((a + 1) * epsilon) ** (1 / (a + 1))
+        v_max = k * s_max * (a + 1) ** (-a / (a + 1))
+        steps.append(b / v_max)
+    return min(steps)
+
+
 @pytest.fixture(scope="module")
 def derived_dt_train(tmp_path_factory):
     """summary.kv of `train` on DERIVED_DT, run to its settle."""
@@ -492,9 +508,10 @@ def derived_dt_train(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["train", "compare", "perturb-sweep", "alpha-sweep"])
 def test_each_command_takes_dt_from_the_certificate(tmp_path, derived_dt_train, command):
-    # without integ.dt, every command steps at T/1e5 of the noise-free
-    # certificate; at the old fallback of 1e-3 the single-neuron law
-    # chattered and never settled, as both sweeps did
+    # without integ.dt, every command steps at the band step of the noise-free
+    # certificate, for the config's smallest alpha (0.5) and its largest noise
+    # level (M = 0.2, envelope exponent loss.alpha = 0.7); a step sized for
+    # alpha = 0.7 alone left the alpha = 0.5 row unsettled
     sweep = command.endswith("-sweep")
     text = DERIVED_DT
     if not sweep:  # only dt is checked; stop long before the settle
@@ -504,12 +521,90 @@ def test_each_command_takes_dt_from_the_certificate(tmp_path, derived_dt_train, 
     T = float(_summary(tmp_path / "b")["bound.T"])
     assert main([command, "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     kv = _summary(tmp_path / "c")
-    assert kv["dt"] == repr(T / 1e5)
+    want = _band_dt((1, -0.6, 0.8, 0.4), (0.5, 0.7), 1.0, 1e-9, T, M=0.2, envelope_alpha=0.7)
+    assert want < T / 1e3
+    assert float(kv["dt"]) == pytest.approx(want, rel=1e-12)
     if sweep:
         assert kv["row0.settled"] == kv["row1.settled"] == "true"
         # the M = 0 level and the alpha = 0.7 level run exactly as train does
         same = "row0." if command == "perturb-sweep" else "row1."
         assert kv[same + "settled_at"] == derived_dt_train["settled_at"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(0.01, 0.99),
+    log_epsilon=st.floats(-12.0, 1.0),
+    k=st.floats(0.1, 10.0),
+    x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5).filter(
+        lambda v: max(abs(u) for u in v) > 1e-3),
+    y_star=st.floats(0.05, 0.95).filter(lambda y: abs(y - 0.5) > 1e-3),
+    m_share=st.floats(0.0, 0.99),
+)
+def test_the_derived_step_cannot_cross_the_settle_band(alpha, log_epsilon, k, x, y_star,
+                                                       m_share):
+    # resolve builds the integrator without running it: under vanishing noise
+    # M < k, one step moves e by at most v_max dt, which stays inside the band
+    epsilon, M = 10.0 ** log_epsilon, m_share * k
+    cfg = config_from_text(
+        f"net.layers = {len(x)}, 1\nnet.init = zeros\nloss.alpha = {alpha!r}\n"
+        f"gains.k = {k!r}\nstop.epsilon = {epsilon!r}\n"
+        f"mode.x = {', '.join(repr(v) for v in x)}\nmode.y_star = {y_star!r}\n"
+        f"perturb.mode = vanishing\nperturb.M = {M!r}\n")
+    prob = resolve(cfg, SimpleNamespace(unsafe_alpha=False))
+    T = prob.certificate(None)[0].T
+    dt = prob.integ.dt
+    b = ((alpha + 1) * epsilon) ** (1 / (alpha + 1))
+    s_max = sum(abs(v) + M * abs(v) ** alpha for v in x)
+    v_max = k * s_max * (alpha + 1) ** (-alpha / (alpha + 1))
+    assert v_max * dt <= b * (1 + 1e-12)
+    assert dt <= T / 1e3
+    assert dt == pytest.approx(_band_dt(x, (alpha,), k, epsilon, T, M, alpha), rel=1e-12)
+
+
+def test_the_band_step_settles_a_run_that_chattered(tmp_path):
+    # alpha = 0.5 and gamma = 0.01 certify T = 2.29, and T/1e5 = 2.29e-5 let
+    # e chatter over its band: the run ended unsettled at E = 1.52e-8.  The
+    # band step settles it at the closed form (|e0| - b) / (k S rs)
+    cfg = _write(tmp_path, "net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.5\n"
+                 "gains.k = 1\ninteg.t_max = 0.012\nmode.x = 1, -0.6, 0.8, 0.4\n"
+                 "mode.y_star = 0.48\nbound.gamma = 0.01\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    kv = _summary(tmp_path / "out")
+    b = (1.5e-9) ** (1 / 1.5)
+    closed_form = (0.02 - b) / (2.8 * 1.5 ** (-0.5 / 1.5))
+    assert kv["settled"] == "true" and kv["bound.kept"] == "true"
+    assert float(kv["settled_at"]) == pytest.approx(closed_form, abs=float(kv["dt"]))
+
+
+README_BARE = ("net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.7\ngains.k = 1\n"
+               "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n")
+
+
+@pytest.mark.parametrize("extra, kept, broke", [
+    # the certificate T = 0.0249 holds: the run settles at 0.00889
+    ("bound.gamma = 1\ninteg.t_max = 0.02\n", "true", None),
+    # gamma = 10 is above every |x_i|: T = 0.00249, the run settles at 0.00889
+    ("bound.gamma = 10\ninteg.t_max = 0.02\n", "false", "it settled at t = 0.00888"),
+    # dt = 1e-3 steps over the band: e chatters and is unsettled at T
+    ("bound.gamma = 1\ninteg.dt = 1e-3\ninteg.t_max = 0.03\n", "false",
+     "it was unsettled at T = 0.024884 (final E = "),
+    # the same chatter, stopped before T, cannot be judged
+    ("bound.gamma = 1\ninteg.dt = 1e-3\ninteg.t_max = 0.02\n", "unknown", None),
+], ids=["kept", "settled-late", "unsettled-at-T", "stopped-before-T"])
+def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, extra, kept, broke):
+    out = tmp_path / "out"
+    code = main(["train", "--config", _write(tmp_path, README_BARE + extra), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == (1 if broke else 0)
+    if broke:
+        assert err.startswith("error: the run broke its certificate: " + broke)
+    # the artifacts are written before a broken certificate exits 1
+    for name in ARTIFACTS:
+        assert (out / name).exists(), name
+    lines = (out / "summary.kv").read_text().splitlines()
+    at = lines.index(next(ln for ln in lines if ln.startswith("settled_at = ")))
+    assert lines[at + 1] == f"bound.kept = {kept}"
 
 
 def test_perturb_sweep_reports_the_lowest_diverging_level(tmp_path, capsys):

@@ -175,8 +175,18 @@ def test_noise_levels_are_checked_when_read():
             assert err.value.problems == [f"<config>: loss.alpha applies to the lyapunov "
                                           "loss, or to a vanishing envelope without "
                                           f"perturb.alpha; loss.kind = {kind} ignores it"]
-    # amplitude noise has no alpha to check
-    config_from_text(base + "perturb.mode = amplitude\nperturb.M = 0.2\nperturb.alpha = 1.2\n")
+    # amplitude noise and a config without noise read no perturb.alpha: 0.3
+    # and 0.9 once gave byte-identical amplitude runs
+    amplitude = "amplitude noise ignores it"
+    for other, why in (("perturb.mode = amplitude\nperturb.M = 0.2\n", amplitude),
+                       ("perturb.mode = amplitude\nsweep.m_values = 0.1\nperturb.M = 0.2\n",
+                        amplitude),
+                       ("", "this config names no noise")):
+        for value in ("1.2", "0.3"):
+            with pytest.raises(ConfigError) as err:
+                config_from_text(base + other + f"perturb.alpha = {value}\n")
+            assert err.value.problems == ["<config>: perturb.alpha is the vanishing envelope's "
+                                          f"exponent; {why}"]
 
 
 @pytest.mark.parametrize("line", [
