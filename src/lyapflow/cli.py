@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -124,17 +124,19 @@ def _band_step(cfg: ExperimentConfig, T: float, inputs) -> float:
     With v dt <= b the step that enters the band starts at |e| <= 2b, and no
     RK4 stage crosses e = 0.  S is the largest sum_i |x_i| + B_i over the
     clean input rows, B the envelope of the largest noise level the config
-    names.  The step serves loss.alpha and every non-zero sweep.alphas level,
-    so every command on one config steps alike.
+    names.  The step serves every non-zero alpha of the config, loss.alpha
+    and the sweep.alphas levels, so every command on one config steps alike.
+    alpha = 0 (the signum chatter demo) has no band to keep: its b = epsilon
+    would shrink dt past any step budget.
     """
     levels = list(cfg.m_values) + ([cfg.perturb_m] if cfg.perturb_mode else [])
     rows = np.atleast_2d(inputs)
     reach = np.abs(rows)
     if levels:
-        reach = reach + _build_spec(cfg, m_override=max(levels)).bound_for(rows)
+        reach = reach + _build_spec(cfg, max(levels)).bound_for(rows)
     s_max = float(reach.sum(axis=1).max())
     dt = T / 1e3
-    for a in [cfg.alpha] + [a for a in cfg.alphas if a > 0]:
+    for a in [a for a in (cfg.alpha, *cfg.alphas) if a > 0]:
         band = ((a + 1.0) * cfg.epsilon) ** (1.0 / (a + 1.0))
         speed = cfg.k * s_max * lyapunov_rate_scale(a)
         if speed * dt > band:
@@ -153,14 +155,11 @@ def _build_integrator(cfg: ExperimentConfig, bound, inputs) -> Integrator:
                       step_budget=cfg.step_budget)
 
 
-def _build_spec(cfg: ExperimentConfig, m_override=None):
-    if cfg.perturb_mode is None and m_override is None:
-        return None
+def _build_spec(cfg: ExperimentConfig, M: float) -> PerturbationSpec:
+    """The config's input noise at level M: perturb.mode's envelope (a sweep
+    without one builds vanishing envelopes), whose exponent is loss.alpha."""
     mode = cfg.perturb_mode or "vanishing"
-    alpha = cfg.perturb_alpha
-    if alpha is None and mode == "vanishing":
-        alpha = cfg.alpha
-    M = cfg.perturb_m if m_override is None else m_override
+    alpha = cfg.alpha if mode == "vanishing" else None
     return PerturbationSpec(mode, M, alpha, cfg.seed, cfg.redraw_every)
 
 
@@ -202,12 +201,18 @@ def resolve(cfg: ExperimentConfig, args) -> Problem:
                  else estimate_gamma(inputs))
     except (AssumptionError, ValueError) as exc:
         gamma = exc
+    noise = _build_spec(cfg, cfg.perturb_m) if cfg.perturb_mode else None
     prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
-                   StoppingRule(cfg.epsilon), _build_spec(cfg), gamma,
-                   initial_loss(mlp, mode, loss))
+                   StoppingRule(cfg.epsilon), noise, gamma, initial_loss(mlp, mode, loss))
     # one rule for every command: the band step under the noise-free
-    # certificate, else the 1e-3 fallback
-    prob.integ = _build_integrator(cfg, prob.certificate(None)[0], inputs)
+    # certificate, else the 1e-3 fallback.  loss.alpha = 0 (an alpha-sweep's
+    # chatter demo) has none; the first non-zero sweep level certifies instead
+    sized = prob
+    level = next((a for a in cfg.alphas if a > 0), None)
+    if cfg.alpha == 0 and level is not None:
+        level_loss = _build_loss(cfg, law, args.unsafe_alpha, alpha=level)
+        sized = replace(prob, loss=level_loss, E0=initial_loss(mlp, mode, level_loss))
+    prob.integ = _build_integrator(cfg, sized.certificate(None)[0], inputs)
     return prob
 
 
@@ -381,7 +386,7 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
         raise ConfigError(["perturb-sweep needs sweep.m_values"])
     prob = resolve(cfg, args)
     gains = prob.gains
-    specs = [_build_spec(cfg, m_override=m) for m in cfg.m_values]
+    specs = [_build_spec(cfg, m) for m in cfg.m_values]
     bounds = [prob.certificate(spec)[0] for spec in specs]
     trajs = integrate_batch(prob.mlp, prob.mode, prob.loss, gains, prob.integ, prob.stop,
                             noises=specs)

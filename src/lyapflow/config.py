@@ -157,7 +157,6 @@ class ExperimentConfig:
     # perturbation
     perturb_mode: str = None
     perturb_m: float = None
-    perturb_alpha: float = None
     redraw_every: int = 1
 
     # bound
@@ -203,7 +202,6 @@ _KEYS = {
     "data.normalize": ("normalize", _bool),
     "perturb.mode": ("perturb_mode", _choice("vanishing", "amplitude")),
     "perturb.M": ("perturb_m", _nonnegative),
-    "perturb.alpha": ("perturb_alpha", float),
     "perturb.redraw_every": ("redraw_every", _count),
     "bound.gamma": ("gamma", _positive),
     "run.seed": ("seed", _nonnegative_int),
@@ -270,23 +268,16 @@ def _cross_checks(cfg: ExperimentConfig, source: str, given) -> list:
         probs.append(f"{source}: perturb.mode needs perturb.M")
     if any(not 0.0 <= a < 1.0 for a in cfg.alphas):
         probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
-    # a vanishing envelope's exponent is perturb.alpha, else loss.alpha;
-    # amplitude noise, and a config without noise, read neither
+    # a vanishing envelope's exponent is loss.alpha, whatever the loss;
+    # amplitude noise, and a config without noise, read no envelope exponent
     vanishing = cfg.perturb_mode == "vanishing" or (cfg.perturb_mode is None
                                                      and bool(cfg.m_values))
-    inherits = vanishing and cfg.perturb_alpha is None
-    if cfg.perturb_alpha is not None and not vanishing:
-        probs.append(f"{source}: perturb.alpha is the vanishing envelope's exponent; "
-                     + ("amplitude noise ignores it" if cfg.perturb_mode
-                        else "this config names no noise"))
-    elif cfg.perturb_alpha is not None and not 0.0 <= cfg.perturb_alpha < 1.0:
-        probs.append(f"{source}: perturb.alpha must lie in [0, 1) for vanishing noise")
-    if inherits and not 0.0 <= cfg.alpha < 1.0:
+    if vanishing and not 0.0 <= cfg.alpha < 1.0:
         probs.append(f"{source}: loss.alpha = {cfg.alpha!r} is the vanishing "
-                     "envelope's exponent without perturb.alpha; it must lie in [0, 1)")
-    if "loss.alpha" in given and cfg.loss_kind != "lyapunov" and not inherits:
+                     "envelope's exponent; it must lie in [0, 1)")
+    if "loss.alpha" in given and cfg.loss_kind != "lyapunov" and not vanishing:
         probs.append(f"{source}: loss.alpha applies to the lyapunov loss, or to a vanishing "
-                     f"envelope without perturb.alpha; loss.kind = {cfg.loss_kind} ignores it")
+                     f"envelope; loss.kind = {cfg.loss_kind} ignores it")
     if cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample
         probs.append(f"{source}: perturb.redraw_every > 1 needs mode.kind = theory; "
                      "epoch mode draws fresh noise for every sample")

@@ -213,16 +213,16 @@ def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
 class _Law:
     """(E, error, control signal) of a weight state, for one run or a stack.
 
-    Run r follows the law the net and losses[r] give (``select_law``),
-    checked against `law` unless it is 'auto'.  Consecutive runs that share a
-    law and its loss form a stretch (gradient flow does not read its loss, so
-    one call serves L1 and L2 runs), rebuilt when compaction changes the
-    active set.  One stretch, a lone run or a noise stack, is never sliced."""
+    Run r follows the law the net and losses[r] give (``select_law``).
+    Consecutive runs that share a law and its loss form a stretch (gradient
+    flow does not read its loss, so one call serves L1 and L2 runs), rebuilt
+    when compaction changes the active set.  One stretch, a lone run or a
+    noise stack, is never sliced."""
 
-    def __init__(self, mlp: Mlp, losses, gains: GainSchedule, law: str):
+    def __init__(self, mlp: Mlp, losses, gains: GainSchedule):
         self.mlp, self.gains = mlp, gains
-        self._group([select_law(mlp, isinstance(loss, LyapunovLoss), law)
-                     for loss in losses], list(losses))
+        self._group([select_law(mlp, isinstance(loss, LyapunovLoss)) for loss in losses],
+                    list(losses))
 
     def _group(self, kinds: list, losses: list) -> None:
         self.kinds, self.losses = kinds, losses
@@ -495,7 +495,8 @@ def integrate(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
     Raises HorizonError if t_max/dt exceeds the step budget, and
     DivergenceError if the state stops being finite.
     """
-    (outcome,) = integrate_batch(mlp, mode, loss, gains, integ, stop, law,
+    select_law(mlp, isinstance(loss, LyapunovLoss), law)
+    (outcome,) = integrate_batch(mlp, mode, loss, gains, integ, stop,
                                  None if noise is None else [noise])
     if isinstance(outcome, Exception):
         raise outcome
@@ -508,7 +509,7 @@ def _check_targets(y_star) -> None:
 
 
 def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,
-                    stop: StoppingRule, law: str = "auto", noises=None) -> list:
+                    stop: StoppingRule, noises=None) -> list:
     """Integrate one flow from `mlp` once per run, as one stack.
 
     The runs differ in their noise level or in their loss, never in both.
@@ -517,11 +518,11 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
     empty list), and the runs share one noise stream, the same unit draws
     scaled by each run's envelope.  Or `loss` is a list of one loss per run
     (else ValueError when empty).  Each run follows the law the net and its
-    loss give (``select_law``); a named `law` is only checked against it.
+    loss give (``select_law``).
     Returns one entry per run: its Trajectory, or the error that stopped it
     alone -- DivergenceError, ShapeError for a non-finite perturbed input or
     OverflowError for a non-finite draw range.
-    Errors that concern every run (step budget, shapes, law) are raised.
+    Errors that concern every run (step budget, shapes, mode) are raised.
     """
     if noises is not None:
         if not noises or any(replace(s, M=noises[0].M) != noises[0] for s in noises[1:]):
@@ -540,7 +541,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
     if not losses:
         raise ValueError("a stack needs one or more losses")
     work = mlp.copy()
-    rule = _Law(work, losses, gains, law)
+    rule = _Law(work, losses, gains)
     if isinstance(mode, TheoryFlow):
         if mode.x.shape != (work.n_inputs,) or mode.y_star.shape != (work.n_outputs,):
             raise ShapeError(

@@ -80,7 +80,7 @@ class PerturbationSpec:
 
 
 def robustness_run(mlp, mode, spec: PerturbationSpec, gains, loss, integ, stop,
-                   gamma: GammaEstimate | None = None, law: str = "auto"):
+                   gamma: GammaEstimate | None = None):
     """(trajectory, bound) of one run under the input noise `spec`.
 
     E0 is the loss at the initial weights on the *unperturbed* inputs, and
@@ -91,6 +91,6 @@ def robustness_run(mlp, mode, spec: PerturbationSpec, gains, loss, integ, stop,
     epoch = isinstance(mode, EpochFlow)
     if gamma is None:
         gamma = estimate_gamma(mode.dataset if epoch else mode.x)
-    law_kind = select_law(mlp, isinstance(loss, LyapunovLoss), law)
-    bound = certify(E0, gains, gamma, loss, law_kind, spec, epoch)[0]
-    return integrate(mlp, mode, loss, gains, integ, stop, law=law, noise=spec), bound
+    law = select_law(mlp, isinstance(loss, LyapunovLoss))
+    bound = certify(E0, gains, gamma, loss, law, spec, epoch)[0]
+    return integrate(mlp, mode, loss, gains, integ, stop, noise=spec), bound

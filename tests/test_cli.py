@@ -244,13 +244,13 @@ def test_vanishing_envelope_defaults_to_loss_alpha_for_baseline_losses(tmp_path)
             "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n"
             "integ.dt = 1e-3\ninteg.t_max = 0.05\nperturb.mode = vanishing\nperturb.M = 0.5\n")
     runs = {}
-    for name, extra in (("inherited", "loss.alpha = 0.2\n"), ("given", "perturb.alpha = 0.2\n"),
-                        ("default", "perturb.alpha = 0.7\n")):
+    for name, extra in (("0.2", "loss.alpha = 0.2\n"), ("0.7", "loss.alpha = 0.7\n"),
+                        ("default", "")):
         runs[name] = tmp_path / name
         cfg = _write(tmp_path, base + extra, name=f"{name}.kv")
         assert main(["train", "--config", cfg, "--out", str(runs[name])]) == 0
     traj = {name: (out / "trajectory.csv").read_bytes() for name, out in runs.items()}
-    assert traj["inherited"] == traj["given"] != traj["default"]
+    assert traj["0.2"] != traj["0.7"] == traj["default"]
 
 
 def test_epoch_mode_train_reports_euler(tmp_path):
@@ -607,6 +607,23 @@ def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, extra
     assert lines[at + 1] == f"bound.kept = {kept}"
 
 
+def test_a_loss_alpha_zero_sweep_steps_as_its_first_level_trains(tmp_path):
+    # loss.alpha = 0 has no certificate, so every row once stepped at the
+    # 1e-3 fallback and the 0.7 row ended unsettled at E = 1.44e-6.  Its band
+    # b = epsilon, left in the band set, would shrink dt to about
+    # epsilon / (k S) and end the run in HorizonError
+    text = README_BARE + "integ.t_max = 0.02\nsweep.alphas = 0, 0.7\n"
+    sweep = _write(tmp_path, text.replace("loss.alpha = 0.7\n", "loss.alpha = 0\n"), "s.kv")
+    assert main(["alpha-sweep", "--config", sweep, "--out", str(tmp_path / "s"),
+                 "--unsafe-alpha"]) == 0
+    assert main(["train", "--config", _write(tmp_path, text), "--out", str(tmp_path / "t")]) == 0
+    kv, train = _summary(tmp_path / "s"), _summary(tmp_path / "t")
+    assert kv["dt"] == train["dt"] == "3.084418099911476e-06"
+    assert kv["row1.settled_at"] == train["settled_at"] == "0.008886208545844963"
+    assert filecmp.cmp(tmp_path / "s" / "trajectory.csv", tmp_path / "t" / "trajectory.csv",
+                       shallow=False)
+
+
 def test_perturb_sweep_reports_the_lowest_diverging_level(tmp_path, capsys):
     # levels 1 (M = 4) and 3 (M = 6) both diverge, level 3 first (t = 3.13);
     # the sweep still fails with level 1's error after printing row 0 only,
@@ -689,14 +706,16 @@ def test_loss_alpha_is_refused_where_nothing_reads_it(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--out", str(out)]) == 2
     assert "loss.kind = l2 ignores it" in capsys.readouterr().err
     assert not out.exists()
-    # a sweep's vanishing envelope without perturb.alpha inherits it, unchanged
+    # a sweep's vanishing envelope reads it: the level runs as train does
+    # under the same envelope
     runs = {}
-    for name, extra in (("inherited", "loss.alpha = 0.2\n"), ("given", "perturb.alpha = 0.2\n")):
-        runs[name] = tmp_path / name
-        cfg = _write(tmp_path, L2_NEURON + "sweep.m_values = 0.5\n" + extra, f"{name}.kv")
-        assert main(["perturb-sweep", "--config", cfg, "--out", str(runs[name])]) == 0
-    assert filecmp.cmp(runs["inherited"] / "trajectory.csv", runs["given"] / "trajectory.csv",
-                       shallow=False)
+    for command, noise in (("perturb-sweep", "sweep.m_values = 0.5\n"),
+                           ("train", "perturb.mode = vanishing\nperturb.M = 0.5\n")):
+        runs[command] = tmp_path / command
+        cfg = _write(tmp_path, L2_NEURON + noise + "loss.alpha = 0.2\n", f"{command}.kv")
+        assert main([command, "--config", cfg, "--out", str(runs[command])]) == 0
+    assert filecmp.cmp(runs["perturb-sweep"] / "trajectory.csv",
+                       runs["train"] / "trajectory.csv", shallow=False)
 
 
 @pytest.mark.parametrize("command, text", [

@@ -1,8 +1,9 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from lyapflow.cli import main
+from lyapflow.cli import _build_spec, main, resolve
 from lyapflow.config import _KEYS, config_from_text, load_config, parse_kv
 from lyapflow.errors import ConfigError
 
@@ -154,39 +155,66 @@ def test_noise_levels_are_checked_when_read():
                 "perturb.mode = amplitude\nperturb.M = inf\n"):
         with pytest.raises(ConfigError, match="must be finite and >= 0"):
             config_from_text(base + bad)
-    with pytest.raises(ConfigError, match="perturb.alpha"):
-        config_from_text(base + "perturb.alpha = 1.0\n")
-    config_from_text(base + "sweep.m_values = 0, 0.5, 2\nperturb.alpha = 0\n")
-    # without perturb.alpha a vanishing envelope inherits loss.alpha, whatever
-    # the loss; a sweep without perturb.mode builds vanishing envelopes
+    # a vanishing envelope's exponent is loss.alpha, whatever the loss; a
+    # sweep without perturb.mode builds vanishing envelopes
     for noise in ("perturb.mode = vanishing\nperturb.M = 0.1\n", "sweep.m_values = 0.1\n"):
         for alpha in ("1.5", "-0.2", "nan"):
             with pytest.raises(ConfigError, match=f"loss.alpha = {alpha} is the vanishing"):
                 config_from_text(base + f"loss.kind = l2\nloss.alpha = {alpha}\n" + noise)
         config_from_text(base + "loss.kind = l2\nloss.alpha = 0.2\n" + noise)
-    # where nothing inherits it, a baseline loss's loss.alpha is refused
-    # outright, not range-checked
-    for other in ("perturb.alpha = 0.5\nperturb.mode = vanishing\nperturb.M = 0.1\n",
-                  "perturb.alpha = 0.5\nsweep.m_values = 0.1\n", "",
-                  "perturb.mode = amplitude\nperturb.M = 0.1\n"):
+    # where no vanishing envelope reads it, a baseline loss's loss.alpha is
+    # refused outright, not range-checked
+    for other in ("", "perturb.mode = amplitude\nperturb.M = 0.1\n"):
         for kind in ("l1", "l2"):
             with pytest.raises(ConfigError) as err:
                 config_from_text(base + f"loss.kind = {kind}\nloss.alpha = 1.5\n" + other)
             assert err.value.problems == [f"<config>: loss.alpha applies to the lyapunov "
-                                          "loss, or to a vanishing envelope without "
-                                          f"perturb.alpha; loss.kind = {kind} ignores it"]
-    # amplitude noise and a config without noise read no perturb.alpha: 0.3
-    # and 0.9 once gave byte-identical amplitude runs
-    amplitude = "amplitude noise ignores it"
-    for other, why in (("perturb.mode = amplitude\nperturb.M = 0.2\n", amplitude),
-                       ("perturb.mode = amplitude\nsweep.m_values = 0.1\nperturb.M = 0.2\n",
-                        amplitude),
-                       ("", "this config names no noise")):
-        for value in ("1.2", "0.3"):
-            with pytest.raises(ConfigError) as err:
-                config_from_text(base + other + f"perturb.alpha = {value}\n")
-            assert err.value.problems == ["<config>: perturb.alpha is the vanishing envelope's "
-                                          f"exponent; {why}"]
+                                          "loss, or to a vanishing envelope; "
+                                          f"loss.kind = {kind} ignores it"]
+
+
+NOISE = {
+    "none": "",
+    "vanishing": "perturb.mode = vanishing\nperturb.M = 0.1\n",
+    "amplitude": "perturb.mode = amplitude\nperturb.M = 0.1\n",
+    "sweep": "sweep.m_values = 0, 0.5\n",
+}
+
+
+@pytest.mark.parametrize("unsafe", [False, True], ids=["safe", "unsafe-alpha"])
+@pytest.mark.parametrize("noise", list(NOISE))
+@pytest.mark.parametrize("alpha", [None, 0.0, 0.2, 1.5], ids=["absent", "0", "0.2", "1.5"])
+@pytest.mark.parametrize("kind", ["lyapunov", "l1", "l2"])
+def test_every_noise_exponent_case_resolves_or_is_refused(kind, alpha, noise, unsafe):
+    # each case is refused with a ConfigError (exit 2) or resolves, and then
+    # a vanishing envelope takes loss.alpha and an amplitude one no exponent;
+    # a bare ValueError from PerturbationSpec or LyapunovLoss fails the test
+    text = (f"net.layers = 4, 1\nnet.init = zeros\nloss.kind = {kind}\n"
+            "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n" + NOISE[noise]
+            + ("" if alpha is None else f"loss.alpha = {alpha!r}\n"))
+    value = 0.7 if alpha is None else alpha
+    vanishing = noise in ("vanishing", "sweep")
+    if kind != "lyapunov" and alpha is not None and not vanishing:
+        refusal = f"loss.kind = {kind} ignores it"
+    elif vanishing and not 0.0 <= value < 1.0:
+        refusal = "is the vanishing envelope's exponent"
+    elif kind == "lyapunov" and not (0.0 < value < 1.0 or value == 0.0 and unsafe):
+        refusal = "loss: "
+    else:
+        refusal = None
+    try:
+        cfg = config_from_text(text)
+        prob = resolve(cfg, SimpleNamespace(unsafe_alpha=unsafe))
+    except ConfigError as exc:
+        assert refusal is not None and refusal in str(exc)
+        return
+    assert refusal is None
+    assert cfg.alpha == value
+    spec = _build_spec(cfg, 0.3)
+    assert spec.mode == ("amplitude" if noise == "amplitude" else "vanishing")
+    assert spec.alpha == (None if noise == "amplitude" else cfg.alpha)
+    assert prob.noise == (_build_spec(cfg, 0.1) if noise in ("vanishing", "amplitude")
+                          else None)
 
 
 @pytest.mark.parametrize("line", [

@@ -273,11 +273,6 @@ def test_law_selection_errors():
         with pytest.raises(ModeError, match=f"law '{law}' does not fit"):
             integrate(single, mode, loss, GainSchedule.uniform(1.0), integ,
                       StoppingRule(), law=law)
-    # a stack takes one law for every run, never a list of one per run
-    with pytest.raises(ModeError, match="does not fit"):
-        dynamics.integrate_batch(deep, mode, [LyapunovLoss.multilayer(0.7), L1Loss(), L2Loss()],
-                                 GainSchedule.uniform(1.0), integ, StoppingRule(),
-                                 law=["mlp", "baseline", "baseline"])
     with pytest.raises(ValueError, match="one or more losses"):
         dynamics.integrate_batch(deep, mode, [], GainSchedule.uniform(1.0), integ, StoppingRule())
     with pytest.raises(ModeError):
@@ -351,7 +346,7 @@ def test_law_rates_are_bitwise_the_eval_signal(sizes, out_act, loss, kind):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         mlp = Mlp.random(sizes, seed=seed, output_activation=out_act)
-        law = _Law(mlp, losses, GainSchedule.uniform(1.3), "auto")
+        law = _Law(mlp, losses, GainSchedule.uniform(1.3))
         assert law.kinds == kinds
         weights = [rng.uniform(-2.0, 2.0, runs + w.shape) for w in mlp.weights]
         x = rng.uniform(-1.0, 1.0, sizes[0])
