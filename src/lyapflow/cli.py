@@ -14,8 +14,9 @@ a train run that broke its certificate, failed check), 2 bad configuration
 or usage.
 
 Artifacts land in --out (or run.out, or the working directory):
-trajectory.csv, summary.kv, loss_curve.svg, curves.dat.  All outputs are
-byte-deterministic for a fixed config and seed.
+trajectory.csv, summary.kv, loss_curve.svg, curves.dat.  trajectory.csv
+holds one run: train's run, compare's Lyapunov row, a sweep's last row.
+All outputs are byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -275,6 +276,7 @@ def _delivered(outcomes):
 
 
 def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
+    """One run, held against its settling-time certificate."""
     prob = resolve(cfg, args)
     loss, spec = prob.loss, prob.noise
     bound, refusal = prob.certificate(spec)
@@ -324,6 +326,7 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
+    """Settling loss vs L1 vs L2."""
     prob = resolve(cfg, args)
     if prob.law == "baseline":
         raise ConfigError(["compare needs loss.kind = lyapunov as the reference"])
@@ -367,6 +370,7 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
+    """Certificate only, no run."""
     prob = resolve(cfg, args)
     lines = ["command = bound", f"seed = {cfg.seed}", f"E0 = {_num(prob.E0)}"]
     bound, refusal = prob.certificate(prob.noise)
@@ -382,6 +386,7 @@ def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
 
 
 def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
+    """Settle time vs noise level M."""
     if not cfg.m_values:
         raise ConfigError(["perturb-sweep needs sweep.m_values"])
     prob = resolve(cfg, args)
@@ -422,12 +427,13 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
               f"{traj.E[-1]:12.6g}")
     _write_kv(out / "summary.kv", lines)
-    traj.to_csv(out / "trajectory.csv")
+    trajs[-1].to_csv(out / "trajectory.csv")  # the last level's run
     _plot_series(out, series, title="settling under input noise")
     return 0
 
 
 def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
+    """Stability across alpha values."""
     if not cfg.alphas:
         raise ConfigError(["alpha-sweep needs sweep.alphas"])
     if any(a == 0.0 for a in cfg.alphas) and not args.unsafe_alpha:
@@ -458,7 +464,7 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
               f"{traj.E[-1]:12.6g}")
     _write_kv(out / "summary.kv", lines)
-    traj.to_csv(out / "trajectory.csv")
+    trajs[-1].to_csv(out / "trajectory.csv")  # the last level's run
     _plot_series(out, series, title="stability across alpha")
     return 0
 
@@ -479,6 +485,7 @@ def _fd_gradient(mlp: Mlp, x, y_star, loss, h: float = 1e-6) -> list:
 
 
 def _cmd_gradcheck(cfg: ExperimentConfig, args, out: Path) -> int:
+    """Backprop vs finite differences."""
     prob = resolve(cfg, args)
     mlp, loss = prob.mlp, prob.loss
     if isinstance(prob.mode, TheoryFlow):

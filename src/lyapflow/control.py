@@ -111,7 +111,8 @@ def mlp_update(grad, E: float, gains: GainSchedule,
     """Layered law: dW_l/dt = -k * sgnpow(dE/dW_l, alpha) * E**beta.
 
     `grad` is dE/dW per layer (``net.loss_gradient``), the input gradient
-    flow takes as well.  Bias columns are updated like any other weight
+    flow takes as well; a list of one flat array of every layer's entries
+    is one layer too.  Bias columns are updated like any other weight
     (their activation entry is the constant 1).  Valid for alpha + beta < 1.
     E is one value per run for a stack of runs.
     """
@@ -126,7 +127,7 @@ def mlp_update(grad, E: float, gains: GainSchedule,
     # libm's pow, one run at a time: numpy's vectorised power may round the
     # last bit differently, and the weights would drift from a lone run's
     powers = [v ** loss.beta for v in values]
-    scale = np.array(powers).reshape(-1, 1, 1) if stacked else powers[0]
+    scale = np.array(powers).reshape((-1,) + (1,) * (grad[0].ndim - 1)) if stacked else powers[0]
     return [-gains.scalar * sgnpow(g, loss.alpha) * scale for g in grad]
 
 

@@ -13,9 +13,12 @@ One loop integrates both modes for a stack of R runs that differ only in
 their input-noise level M (a perturb-sweep's levels) or in their loss (the
 rows of a compare or an alpha-sweep).  Noise levels share one noise
 stream, so ``integrate_batch`` refuses specs that differ in anything but M.
-Each weight layer is one (R, out, in+1) array, so a step costs one numpy
-call per operation whatever R is, and each run rounds exactly as it would
-alone.  The net and each run's loss decide the run's law (``select_law``).
+The weights are one flat state (R, P), P the weight count of all layers,
+that the net reads through (R, out, in+1) views made once per active set.
+Past the forward pass and the back-propagation, a step costs one numpy
+call per operation whatever R and the depth are, and each run rounds
+exactly as it would alone.  The net and each run's loss decide the run's
+law (``select_law``).
 One law object serves a lone run and every stack.  It groups the runs into
 stretches that share a law and its loss (gradient-flow runs share only
 their law); the forward pass, the back-propagation and dE/dW run once for
@@ -211,16 +214,17 @@ def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
 
 
 class _Law:
-    """(E, error, control signal) of a weight state, for one run or a stack.
+    """(E, error, control signal) of a flat weight state, for one run or a stack.
 
     Run r follows the law the net and losses[r] give (``select_law``).
     Consecutive runs that share a law and its loss form a stretch (gradient
     flow does not read its loss, so one call serves L1 and L2 runs), rebuilt
-    when compaction changes the active set.  One stretch, a lone run or a
-    noise stack, is never sliced."""
+    with the flat dE/dW buffer when compaction changes the active set.  One
+    stretch, a lone run or a noise stack, is never sliced."""
 
     def __init__(self, mlp: Mlp, losses, gains: GainSchedule):
-        self.mlp, self.gains = mlp, gains
+        self.mlp, self.gains, self.stacked = mlp, gains, len(losses) > 1
+        self.shapes = [w.shape[-2:] for w in mlp.weights]
         self._group([select_law(mlp, isinstance(loss, LyapunovLoss)) for loss in losses],
                     list(losses))
 
@@ -236,6 +240,8 @@ class _Law:
                        for (kind, loss), s in _spans(keys)]
         self.whole = self.groups[0][1] if len(self.groups) == 1 else None
         self.backprop = any(kind != "single_neuron" for kind in kinds)
+        self.grad, self.grad_layers = (_buffer(self.shapes, len(kinds), self.stacked)
+                                       if self.backprop else (None, None))
 
     def keep(self, keep) -> None:
         """Compaction kept the runs where `keep` is set."""
@@ -243,35 +249,36 @@ class _Law:
                     [loss for loss, kept in zip(self.losses, keep) if kept])
 
     def eval(self, weights, x: Sample, y_star, with_E: bool = True) -> tuple:
-        """x is a Sample (a plain array is checked again on every call);
+        """At the layer views `weights` of a flat state, the signal shaped like
+        it.  x is a Sample (a plain array is checked again on every call);
         y_star has been checked against the net's outputs."""
         self.mlp.weights = weights
         trace = forward(self.mlp, x)
         e = trace.y - y_star
         E = self.loss.evaluate(e[..., None, :]) if with_E else None  # one E per run
-        grad = (loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace)
-                if self.backprop else None)
+        if self.backprop:
+            loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace,
+                          out=self.grad_layers)
         if self.whole:  # one stretch: nothing to slice
-            return E, e, self._signal(self.whole, x, e, trace.preacts[0], grad, E)
-        parts = [self._signal(law, x, e[s], trace.preacts[0][s],
-                              None if grad is None else [g[s] for g in grad],
-                              None if E is None else E[s])
-                 for s, law in self.groups]
-        return E, e, [_joined(layer) for layer in zip(*parts)]
+            return E, e, self._signal(self.whole, x, e, trace.preacts[0], self.grad, E)
+        return E, e, np.concatenate([
+            self._signal(law, x, e[s], trace.preacts[0][s],
+                         self.grad[s] if self.backprop else None, None if E is None else E[s])
+            for s, law in self.groups])
 
     def _signal(self, law, x, e, z, grad, E):
         """One stretch's control signal from its errors, pre-activations and
-        dE/dW; E is evaluated here only for the layered law, whose rate
+        flat dE/dW; E is evaluated here only for the layered law, whose rate
         scales with E**beta."""
         kind, loss, rate_scale = law
-        if kind == "single_neuron":
+        if kind == "single_neuron":  # a one-layer net, whose state is its layer
             return single_neuron_update(x, e[..., 0], z[..., 0], self.gains,
-                                        rate_scale=rate_scale)
+                                        rate_scale=rate_scale)[0]
         if kind == "mlp":
             if E is None:
                 E = loss.evaluate(e[..., None, :])
-            return mlp_update(grad, E, self.gains, loss)
-        return gradient_flow_update(grad, self.gains)
+            return mlp_update([grad], E, self.gains, loss)[0]
+        return gradient_flow_update([grad], self.gains)[0]
 
     def rates(self, weights, x, y_star):
         """The control signal alone, as an RK4 stage or an epoch step needs it."""
@@ -288,10 +295,6 @@ def _spans(keys) -> list:
     return spans
 
 
-def _joined(parts):
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 class _Losses:
     """Several losses used as one along a stack's run axis: each stretch of
     runs that share a loss, its (loss, slice) span, is evaluated by it alone."""
@@ -300,48 +303,78 @@ class _Losses:
         self.spans = spans
 
     def evaluate(self, e):
-        return _joined([loss.evaluate(e[s]) for loss, s in self.spans])
+        return np.concatenate([loss.evaluate(e[s]) for loss, s in self.spans])
 
     def error_grad(self, e):
-        return _joined([loss.error_grad(e[s]) for loss, s in self.spans])
+        return np.concatenate([loss.error_grad(e[s]) for loss, s in self.spans])
 
 
-def _axpy(w, a: float, u):
-    return [wi + a * ui for wi, ui in zip(w, u)]
+def _buffer(shapes, count: int, stacked: bool) -> tuple:
+    """An empty flat weight state for `count` runs (a stack keeps its run
+    axis), (R, P) or (P,), and its layer views.  A one-layer net's state is
+    its layer, (R, out, in+1) or (out, in+1), its own only view."""
+    size = shapes[0] if len(shapes) == 1 else (sum(r * c for r, c in shapes),)
+    flat = np.empty(((count,) if stacked else ()) + size)
+    return flat, _views(flat, shapes)
 
 
-def _step(law: _Law, weights, x, y_star, dt: float, method: str, u0):
+def _views(flat, shapes) -> list:
+    """The layer views of a flat state, or of one run's row of a stack's."""
+    if len(shapes) == 1:
+        return [flat]
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(flat[..., start:start + rows * cols].reshape(flat.shape[:-1] + (rows, cols)))
+        start += rows * cols
+    return views
+
+
+def _step(law: _Law, runs, y_star, dt: float, method: str) -> None:
+    """One step of the active runs from runs.W, whose signal is runs.u,
+    written over runs.W; RK4 evaluates its stages in runs.stage."""
+    w, k1 = runs.W, runs.u
     if method == "euler":
-        return _axpy(weights, dt, u0)
-    k1 = u0
-    k2 = law.rates(_axpy(weights, dt / 2.0, k1), x, y_star)
-    k3 = law.rates(_axpy(weights, dt / 2.0, k2), x, y_star)
-    k4 = law.rates(_axpy(weights, dt, k3), x, y_star)
-    return [
-        w + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-        for w, a, b, c, d in zip(weights, k1, k2, k3, k4)
-    ]
+        np.add(w, dt * k1, out=w)
+        return
+    stage, views, x = runs.stage, runs.stage_layers, runs.x
+    np.add(w, (dt / 2.0) * k1, out=stage)
+    k2 = law.rates(views, x, y_star)
+    np.add(w, (dt / 2.0) * k2, out=stage)
+    k3 = law.rates(views, x, y_star)
+    np.add(w, dt * k3, out=stage)
+    k4 = law.rates(views, x, y_star)
+    np.add(w, (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=w)
 
 
 class _Runs:
     """The active set of a stack of runs, and everything recorded so far.
 
-    A stack keeps its run axis even when compaction leaves one run.  A lone
+    The weights W, one flat state (``_buffer``) stepped in place, and the
+    RK4 stage buffer are made with their views for each active set.  A
+    stack keeps its run axis even when compaction leaves one run.  A lone
     run has none: its law works on matrices and scalars, where numpy's
     per-call cost is lower.  Kept at one run, the axis made single-neuron
     training about 20% slower and a 4-8-1 compare about 10% slower."""
 
     def __init__(self, weights, count: int, x, law: _Law):
         self.ids, self.stacked, self.law = np.arange(count), count > 1, law
-        self.W = [np.repeat(w[None], count, axis=0) for w in weights] if self.stacked else weights
+        W, layers = _buffer(law.shapes, count, self.stacked)
+        for layer, w in zip(layers, weights):
+            layer[...] = w  # every run starts from the net's weights
+        self._hold(W)
         self.x, self.u = x, None    # Sample, shared or one row per run; last signal
         self.done = [None] * count  # (settled_at, final weights) or an error
         # flat lists of floats: less memory than small arrays, nothing to scan
         self.rec_ids, self.rec_t, self.rec_E, self.rec_err, self.rec_norm = [], [], [], [], []
 
-    def rows(self, arrays, j: int) -> list:
-        """Run j's part of per-run arrays such as the weights or the signal."""
-        return [a[j] for a in arrays] if self.stacked else arrays
+    def _hold(self, W) -> None:
+        """Take W as the state, with views and a stage buffer for its runs."""
+        self.W, self.layers = W, _views(W, self.law.shapes)
+        self.stage, self.stage_layers = _buffer(self.law.shapes, len(W), self.stacked)
+
+    def rows(self, flat, j: int) -> list:
+        """Run j's layers of a flat per-run array, the weights or the signal."""
+        return _views(flat[j] if self.stacked else flat, self.law.shapes)
 
     def drop(self, gone, outcome) -> None:
         """Take the runs at positions `gone` out; outcome(j) is how run j ended."""
@@ -350,25 +383,23 @@ class _Runs:
         keep = ~gone
         self.ids = self.ids[keep]
         if self.stacked:
-            self.W = [w[keep] for w in self.W]
-            self.u = None if self.u is None else [v[keep] for v in self.u]
+            self._hold(self.W[keep])
+            self.u = None if self.u is None else self.u[keep]
             if self.x is not None and self.x.x.ndim == 2:
                 self.x = Sample.trusted(self.x.x[keep])
             self.law.keep(keep)
 
     def drop_diverged(self, t: float, E, errs, state):
-        """Drop the runs whose E or state (one stack per layer) is not finite."""
+        """Drop the runs whose E or flat state is not finite; return E and
+        the errors with one entry and row per run left, a lone run's too."""
+        if not self.stacked:  # the loop works on one E and error row per run
+            E, errs = np.array([E]), errs[None]
         # a finite grand total proves every entry finite (inf and nan cannot
         # cancel out of a sum); the per-run mask alone makes single-neuron
         # training about 5% slower
-        total = np.add.reduce(E, axis=None)
-        for v in state:
-            total += np.add.reduce(v, axis=None)
-        if math.isfinite(total):
+        if math.isfinite(np.add.reduce(E, axis=None) + np.add.reduce(state, axis=None)):
             return E, errs
-        ok = np.isfinite(E)
-        for v in state:
-            ok &= np.isfinite(v.reshape(len(E), -1)).all(axis=1)
+        ok = np.isfinite(E) & np.isfinite(state.reshape(len(E), -1)).all(axis=1)
         if not ok.all():
             self.drop(~ok, lambda j: DivergenceError(t))
             E, errs = E[ok], errs[ok]
@@ -449,14 +480,11 @@ class _Theory:
             runs.x = noise.draw(self.x.x, runs)
             if runs.x is None:
                 return None, None
-        E, e, runs.u = self.law.eval(runs.W, runs.x, self.y_star)
-        if not runs.stacked:  # the loop works on one E and error row per run
-            E, e = np.array([E]), e[None]
+        E, e, runs.u = self.law.eval(runs.layers, runs.x, self.y_star)
         return runs.drop_diverged(t, E, e, runs.u)
 
     def advance(self, runs: _Runs, noise) -> None:
-        runs.W = _step(self.law, runs.W, runs.x, self.y_star, self.integ.dt,
-                       self.integ.method, runs.u)
+        _step(self.law, runs, self.y_star, self.integ.dt, self.integ.method)
 
 
 class _Epochs:
@@ -467,10 +495,8 @@ class _Epochs:
         self.rows = rows  # (Sample, target) per dataset row
 
     def measure(self, runs: _Runs, noise, n: int, t: float):
-        self.law.mlp.weights = runs.W  # one pass for every active run
+        self.law.mlp.weights = runs.layers  # one pass for every active run
         E, errs = dataset_loss(self.law.mlp, self.ds, self.law.loss)
-        if not runs.stacked:
-            E, errs = np.array([E]), errs[None]
         return runs.drop_diverged(t, E, errs, runs.W)
 
     def advance(self, runs: _Runs, noise) -> None:
@@ -479,8 +505,8 @@ class _Epochs:
                 x = noise.draw(x.x, runs)
                 if x is None:
                     return
-            runs.u = self.law.rates(runs.W, x, y_star)
-            runs.W = _axpy(runs.W, self.dt, runs.u)
+            runs.u = self.law.rates(runs.layers, x, y_star)
+            np.add(runs.W, self.dt * runs.u, out=runs.W)
 
 
 def integrate(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator,

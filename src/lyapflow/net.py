@@ -6,10 +6,10 @@ behaves like one more input.  That entry does not stand in for the
 certificates' excitation level gamma: a 2-3-1 run certified at gamma = 1
 settled 17 times later than its T.
 
-A stack of R runs of one architecture keeps each layer as one
-(R, units_out, units_in + 1) array; ``forward``, ``sensitivities`` and
-``loss_gradient`` carry that run axis through, and each run's products go
-through its own BLAS call, so a run rounds exactly as it would alone.
+A stack of R runs keeps each layer as one (R, units_out, units_in + 1) array
+(in an integration, a view of one flat state); ``forward``, ``sensitivities``
+and ``loss_gradient`` carry that run axis through, and each run's products
+go through its own BLAS call, so a run rounds exactly as it would alone.
 
 Pre-activations are clamped to +/-30 before any exponential is taken, both
 in the sigmoid and in the control laws that use its reciprocal slope.
@@ -252,15 +252,13 @@ def _times_slope(act: Activation, s, v):
     return v if act is Activation.IDENTITY else act.slope(s) * v
 
 
-def loss_gradient(deltas: Deltas, trace: ForwardTrace) -> list:
-    """dE/dW per layer: outer(delta_l, activations feeding layer l), per run."""
+def loss_gradient(deltas: Deltas, trace: ForwardTrace, out=None) -> list:
+    """dE/dW per layer: outer(delta_l, activations feeding layer l), per run,
+    with np.outer's products; written into `out` (one array per layer, such
+    as the views of one flat buffer) if it is given."""
     if len(deltas) != len(trace.acts):
         raise ShapeError(
             f"{len(deltas)} delta vectors for {len(trace.acts)} weight layers"
         )
-    return [_outer(d, z) for d, z in zip(deltas, trace.acts)]
-
-
-def _outer(d, z):
-    """np.outer(d, z) for each run, with the same elementwise products."""
-    return d[..., :, None] * z[..., None, :]
+    return [np.multiply(d[..., :, None], z[..., None, :], out=g)
+            for d, z, g in zip(deltas, trace.acts, out or [None] * len(deltas))]

@@ -99,6 +99,17 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(out), "--seed", "-2"]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "compare", "bound", "perturb-sweep",
+                                     "alpha-sweep", "gradcheck"])
+def test_every_subcommand_has_help_text(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    listed = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()
+                  if len(line.split(None, 1)) == 2)
+    assert listed.get(command, "").strip(), f"lyapflow --help gives {command} no text"
+
+
 def test_bad_configs_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.kv")]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -21,11 +21,16 @@ from lyapflow import (
     dataset_loss,
     forward,
     gen_blobs,
+    gradient_flow_update,
     integrate,
+    loss_gradient,
+    mlp_update,
+    sensitivities,
+    signal_norm,
 )
 from lyapflow import dynamics
 from lyapflow.datasets import Dataset
-from lyapflow.dynamics import _Law
+from lyapflow.dynamics import _buffer, _Law, integrate_batch
 
 ALPHA = 0.7
 BETA = ALPHA / (ALPHA + 1.0)
@@ -348,18 +353,92 @@ def test_law_rates_are_bitwise_the_eval_signal(sizes, out_act, loss, kind):
         mlp = Mlp.random(sizes, seed=seed, output_activation=out_act)
         law = _Law(mlp, losses, GainSchedule.uniform(1.3))
         assert law.kinds == kinds
-        weights = [rng.uniform(-2.0, 2.0, runs + w.shape) for w in mlp.weights]
+        # one flat weight state, (runs, P) or (P,), read through its layer views
+        state, weights = _buffer(law.shapes, len(losses), bool(runs))
+        for w in weights:
+            w[...] = rng.uniform(-2.0, 2.0, w.shape)
         x = rng.uniform(-1.0, 1.0, sizes[0])
         x[seed % sizes[0]] = 0.0  # sign(x) = 0 freezes that weight
         y_star = rng.uniform(-1.0, 1.0, sizes[-1])
         # the plain array is checked and bias-augmented at every evaluation,
-        # the Sample once; the signal is the same to the bit
+        # the Sample once; the signal, shaped like the state, is the same to the bit
         expected = law.eval(weights, x, y_star)[2]
+        assert expected.shape == state.shape
         sample = Sample(x, sizes[0])
         for got in (law.eval(weights, sample, y_star)[2], law.rates(weights, sample, y_star)):
-            assert len(got) == len(expected)
-            for u, v in zip(got, expected):
-                assert u.shape == v.shape and u.tobytes() == v.tobytes()
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def _per_layer_run(mlp, x, y_star, loss, gains, integ, stop) -> dict:
+    """One run stepped layer by layer with the public net and control calls,
+    each weight layer its own array: what integrate_batch's flat state must
+    reproduce to the bit, run by run."""
+    net = mlp.copy()
+
+    def law(weights):
+        net.weights = weights
+        trace = forward(net, x)
+        e = trace.y - y_star
+        E = loss.evaluate(e)
+        grad = loss_gradient(sensitivities(net, trace, y_star, loss, e), trace)
+        u = (mlp_update(grad, E, gains, loss) if isinstance(loss, LyapunovLoss)
+             else gradient_flow_update(grad, gains))
+        return E, e, u
+
+    def moved(weights, a, u):
+        return [w + a * v for w, v in zip(weights, u)]
+
+    dt, W = integ.dt, [w.copy() for w in mlp.weights]
+    last = int(np.ceil(integ.t_max / dt - 1e-12))
+    out = {"t": [], "E": [], "errors": [], "control_norm": [], "settled_at": None}
+    for n in range(last + 1):
+        E, e, u = law(W)
+        settled = E <= stop.epsilon
+        if n % integ.record_stride == 0 or n == last or settled:
+            for key, value in zip(("t", "E", "errors", "control_norm"),
+                                  (n * dt, E, e, signal_norm(u))):
+                out[key].append(value)
+        if settled:
+            out["settled_at"] = n * dt
+            break
+        if n == last:
+            break
+        if integ.method == "euler":
+            W = moved(W, dt, u)
+            continue
+        k2 = law(moved(W, dt / 2.0, u))[2]
+        k3 = law(moved(W, dt / 2.0, k2))[2]
+        k4 = law(moved(W, dt, k3))[2]
+        W = [w + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+             for w, a, b, c, d in zip(W, u, k2, k3, k4)]
+    out["final_weights"] = W
+    return out
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("sizes,seed", [((4, 8, 1), 3), ((4, 8, 8, 1), 5)])
+def test_the_flat_state_steps_like_a_per_layer_loop(sizes, seed, method):
+    # the compare stack; near its target, the rows settle at different
+    # times, and the rows that keep stepping reuse the buffers the
+    # settled row's final weights were copied from
+    mlp = Mlp.random(sizes, seed=seed, output_activation=Activation.IDENTITY)
+    x = np.array([0.5, -0.3, 0.8, 0.1])
+    y_star = forward(mlp, x).y + 0.05
+    losses = [LyapunovLoss.multilayer(ALPHA), L1Loss(), L2Loss()]
+    gains, stop = GainSchedule.uniform(1.0), StoppingRule(1e-4)
+    integ = Integrator(method, dt=1e-2, t_max=1.0, record_stride=7)
+    trajs = integrate_batch(mlp, TheoryFlow(x, y_star), losses, gains, integ, stop)
+    settled = [traj.settled_at for traj in trajs]
+    assert settled[2] is not None and min(s or 2.0 for s in settled[:2]) > settled[2]
+    for loss, traj in zip(losses, trajs):
+        want = _per_layer_run(mlp, x, y_star, loss, gains, integ, stop)
+        assert traj.settled_at == want["settled_at"]
+        for key in ("t", "E", "errors", "control_norm"):
+            got = getattr(traj, key)
+            assert got.tobytes() == np.array(want[key]).reshape(got.shape).tobytes(), key
+        assert len(traj.final_weights) == len(want["final_weights"])
+        for got, w in zip(traj.final_weights, want["final_weights"]):
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
 
 
 def _count_lyapunov_evaluations(monkeypatch) -> list:
