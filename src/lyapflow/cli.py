@@ -31,7 +31,7 @@ import numpy as np
 from . import datasets as ds_mod
 from .bounds import GammaEstimate, certify, estimate_gamma
 from .config import ExperimentConfig, load_config
-from .control import GainSchedule, lyapunov_rate_scale
+from .control import GainSchedule
 from .dynamics import (
     EpochFlow,
     Integrator,
@@ -116,39 +116,10 @@ def _build_mode(cfg: ExperimentConfig, dataset):
     return TheoryFlow(*dataset.sample(cfg.sample_index))
 
 
-def _band_step(cfg: ExperimentConfig, T: float, inputs) -> float:
-    """Default step of a certified run: T/1e3 at most (1,000 steps to T when
-    the band is wide), and short enough that the single-neuron error, which
-    moves at the constant speed v = k S rs, cannot step over its settle band
-    |e| <= b = ((alpha+1) epsilon)^(1/(alpha+1)).
-
-    With v dt <= b the step that enters the band starts at |e| <= 2b, and no
-    RK4 stage crosses e = 0.  S is the largest sum_i |x_i| + B_i over the
-    clean input rows, B the envelope of the largest noise level the config
-    names.  The step serves every non-zero alpha of the config, loss.alpha
-    and the sweep.alphas levels, so every command on one config steps alike.
-    alpha = 0 (the signum chatter demo) has no band to keep: its b = epsilon
-    would shrink dt past any step budget.
-    """
-    levels = list(cfg.m_values) + ([cfg.perturb_m] if cfg.perturb_mode else [])
-    rows = np.atleast_2d(inputs)
-    reach = np.abs(rows)
-    if levels:
-        reach = reach + _build_spec(cfg, max(levels)).bound_for(rows)
-    s_max = float(reach.sum(axis=1).max())
-    dt = T / 1e3
-    for a in [a for a in (cfg.alpha, *cfg.alphas) if a > 0]:
-        band = ((a + 1.0) * cfg.epsilon) ** (1.0 / (a + 1.0))
-        speed = cfg.k * s_max * lyapunov_rate_scale(a)
-        if speed * dt > band:
-            dt = band / speed
-    return dt
-
-
-def _build_integrator(cfg: ExperimentConfig, bound, inputs) -> Integrator:
+def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:
     dt = cfg.dt
-    if dt is None:
-        dt = _band_step(cfg, bound.T, inputs) if bound is not None else 1e-3
+    if dt is None:  # 1,000 steps to a certificate's T; a run lands inside its band
+        dt = bound.T / 1e3 if bound is not None else 1e-3
     # epoch mode always takes per-sample Euler steps; name what runs
     method = "euler" if cfg.mode == "epoch" else cfg.method
     return Integrator(method=method, dt=dt, t_max=cfg.t_max,
@@ -205,15 +176,15 @@ def resolve(cfg: ExperimentConfig, args) -> Problem:
     noise = _build_spec(cfg, cfg.perturb_m) if cfg.perturb_mode else None
     prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
                    StoppingRule(cfg.epsilon), noise, gamma, initial_loss(mlp, mode, loss))
-    # one rule for every command: the band step under the noise-free
-    # certificate, else the 1e-3 fallback.  loss.alpha = 0 (an alpha-sweep's
-    # chatter demo) has none; the first non-zero sweep level certifies instead
+    # one rule for every command: T/1e3 under the noise-free certificate,
+    # else the 1e-3 fallback.  loss.alpha = 0 (an alpha-sweep's chatter
+    # demo) has none; the first non-zero sweep level certifies instead
     sized = prob
     level = next((a for a in cfg.alphas if a > 0), None)
     if cfg.alpha == 0 and level is not None:
         level_loss = _build_loss(cfg, law, args.unsafe_alpha, alpha=level)
         sized = replace(prob, loss=level_loss, E0=initial_loss(mlp, mode, level_loss))
-    prob.integ = _build_integrator(cfg, sized.certificate(None)[0], inputs)
+    prob.integ = _build_integrator(cfg, sized.certificate(None)[0])
     return prob
 
 

@@ -129,7 +129,7 @@ class ExperimentConfig:
 
     # integrator
     method: str = "rk4"
-    dt: float = None           # None -> the settle-band step under a certificate, else 1e-3
+    dt: float = None           # None -> T/1e3 under a certificate, else 1e-3
     t_max: float = 10.0
     record_stride: int = 1
     step_budget: int = 10_000_000

@@ -30,8 +30,9 @@ compacted, never masked.
 
 Each theory-mode step evaluates E once, at its start, for the settle test
 and the record.  The RK4 stages, like the per-sample epoch steps, compute
-only the control signal; they evaluate E only for the layered law, whose
-rate scales with E**beta.
+only the control signal (and E for the layered law, whose rate scales with
+E**beta).  A single-neuron run with alpha > 0 takes no step that could reach
+its settle band: it lands inside the band in closed form (``_Theory._land``).
 
 Inputs are checked once, when the flow is built: the theory sample and
 every dataset row become ``net.Sample`` objects (finite, shape-checked, bias
@@ -60,7 +61,7 @@ from .control import (
 )
 from .errors import DivergenceError, HorizonError, ModeError, ShapeError
 from .losses import LyapunovLoss
-from .net import Activation, Mlp, Sample, forward, loss_gradient, sensitivities
+from .net import PREACT_CLAMP, Activation, Mlp, Sample, forward, loss_gradient, sensitivities
 
 __all__ = [
     "Integrator",
@@ -406,15 +407,17 @@ class _Runs:
         return E, errs
 
     def finish(self, ended, settled_at) -> None:
-        self.drop(ended, lambda j: (settled_at, [w.copy() for w in self.rows(self.W, j)]))
+        """End the runs where `ended` is set, settled at one time (None: not) or one each."""
+        at = settled_at if isinstance(settled_at, list) else [settled_at] * len(ended)
+        self.drop(ended, lambda j: (at[j], [w.copy() for w in self.rows(self.W, j)]))
 
-    def record(self, t: float, E, errs, rows=None) -> None:
-        """Record the runs at positions `rows`, or every active run."""
+    def record(self, t, E, errs, rows=None) -> None:
+        """Record the runs at positions `rows`, or every active run, at one time or one each."""
         ids, positions = self.ids, range(len(self.ids))
         if rows is not None:
             ids, E, errs, positions = ids[rows], E[rows], errs[rows], np.flatnonzero(rows)
         self.rec_ids.append(ids)
-        self.rec_t.append(t)
+        self.rec_t += [t] * len(ids) if np.isscalar(t) else t[positions].tolist()
         self.rec_E += E.tolist()
         self.rec_err += errs.ravel().tolist()
         self.rec_norm += ([0.0] * len(ids) if self.u is None else
@@ -424,7 +427,7 @@ class _Runs:
         if not self.rec_t:  # every run failed before its first record
             return list(self.done)
         ids = np.concatenate(self.rec_ids)
-        t = np.repeat(self.rec_t, [len(i) for i in self.rec_ids])
+        t = np.array(self.rec_t)
         E, norms = np.array(self.rec_E), np.array(self.rec_norm)
         errs = np.array(self.rec_err).reshape(len(E), -1)
         out = []
@@ -472,8 +475,14 @@ class _Theory:
 
     span = 1
 
-    def __init__(self, x: Sample, y_star, law: _Law, integ: Integrator):
-        self.x, self.y_star, self.law, self.integ = x, y_star, law, integ
+    def __init__(self, x: Sample, y_star, law: _Law, integ: Integrator, epsilon: float):
+        self.x, self.y_star, self.law, self.integ, self.epsilon = x, y_star, law, integ, epsilon
+        # by run id: band b of |e| and rate scale of a run that lands, else nan
+        alphas = [loss.alpha if kind == "single_neuron" and loss.alpha > 0 else math.nan
+                  for kind, loss in zip(law.kinds, law.losses)]
+        self.band = np.array([((a + 1.0) * epsilon) ** (1.0 / (a + 1.0)) for a in alphas])
+        self.rs = np.array([lyapunov_rate_scale(a) for a in alphas])
+        self.lands = not np.isnan(self.band).all()
 
     def measure(self, runs: _Runs, noise, n: int, t: float):
         if noise is not None and n % noise.every == 0:
@@ -483,8 +492,44 @@ class _Theory:
         E, e, runs.u = self.law.eval(runs.layers, runs.x, self.y_star)
         return runs.drop_diverged(t, E, e, runs.u)
 
-    def advance(self, runs: _Runs, noise) -> None:
-        _step(self.law, runs, self.y_star, self.integ.dt, self.integ.method)
+    def advance(self, runs: _Runs, noise, t: float, errs) -> None:
+        if self.lands:
+            self._land(runs, t, errs)
+        if len(runs.ids):
+            _step(self.law, runs, self.y_star, self.integ.dt, self.integ.method)
+
+    def _land(self, runs: _Runs, t: float, errs) -> None:
+        """Finish in closed form each run whose step could reach its band:
+        once 2 v dt >= |e| - b (e moves at v = k rs S, S = sum|x_i|) or
+        2 v dt >= 8 sigma'(z) (|e| - b/2) (z moves at v / sigma'(z), and z*
+        is 4 (|e| - b/2) away or more), so no step taken reaches e = 0.  The
+        input weights move by sign(x) (z* - z) / S to z* = logit(y* + sign(e)
+        b/2), reached at t + (|e| - b/2) / v, on the run's own (1, n+1) row as
+        alone.  Not if the landed E is not <= epsilon or z meets the clamp."""
+        x, ids, law = runs.x, runs.ids, self.law
+        S = np.broadcast_to(np.add.reduce(np.abs(x.x), axis=-1), ids.shape)
+        speed = law.gains.scalar * self.rs[ids] * S
+        size, band, reach = np.abs(errs[:, 0]), self.band[ids], 2.0 * self.integ.dt * speed
+        y = self.y_star[0] + errs[:, 0]
+        near = np.flatnonzero((reach >= size - band)
+                              | (reach >= 8.0 * y * (1.0 - y) * (size - band / 2)))
+        if not len(near):
+            return
+        landed, at, E = np.zeros(len(ids), bool), np.zeros(len(ids)), np.zeros(len(ids))
+        for j in near:
+            b, e, w = self.band[ids[j]], float(errs[j, 0]), runs.rows(runs.W, j)[0]
+            row = Sample.trusted(x.x[j]) if x.x.ndim == 2 else x
+            p, z = float(self.y_star[0]) + math.copysign(b / 2.0, e), float((w @ row.z)[0])
+            z_star = math.log(p / (1.0 - p)) if 0.0 < p < 1.0 else math.inf
+            if not max(abs(z), abs(z_star)) < PREACT_CLAMP:
+                continue
+            new = w + np.append(np.sign(row.x) * ((z_star - z) / S[j]), 0.0)
+            E_j, e_j, u_j = _Law(law.mlp, [law.losses[j]], law.gains).eval([new], row, self.y_star)
+            if E_j <= self.epsilon:
+                w[...], runs.rows(runs.u, j)[0][...] = new, u_j
+                landed[j], E[j], errs[j], at[j] = True, E_j, e_j, t + (abs(e) - b / 2) / speed[j]
+        runs.record(at, E, errs, landed)
+        runs.finish(landed, at.tolist())
 
 
 class _Epochs:
@@ -499,7 +544,7 @@ class _Epochs:
         E, errs = dataset_loss(self.law.mlp, self.ds, self.law.loss)
         return runs.drop_diverged(t, E, errs, runs.W)
 
-    def advance(self, runs: _Runs, noise) -> None:
+    def advance(self, runs: _Runs, noise, t: float, errs) -> None:
         for x, y_star in self.rows:
             if noise is not None:
                 x = noise.draw(x.x, runs)
@@ -575,7 +620,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
                 f"({work.n_inputs},) -> ({work.n_outputs},)"
             )
         _check_targets(mode.y_star)
-        flow = _Theory(Sample(mode.x, work.n_inputs), mode.y_star, rule, integ)
+        flow = _Theory(Sample(mode.x, work.n_inputs), mode.y_star, rule, integ, stop.epsilon)
     elif isinstance(mode, EpochFlow):
         ds = mode.dataset
         if ds.n_features != work.n_inputs or ds.n_targets != work.n_outputs:
@@ -614,9 +659,10 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
                 runs.record(t, E, errs, settled)
             if any_settled:
                 runs.finish(settled, t)
+            if n < last and len(runs.ids):  # a run that lands leaves here
+                flow.advance(runs, noise, t, errs[~settled] if any_settled else errs)
             if n == last or not len(runs.ids):
                 break
-            flow.advance(runs, noise)
     runs.finish(np.ones(len(runs.ids), dtype=bool), None)
     return runs.results(stop.epsilon)
 

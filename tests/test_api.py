@@ -47,6 +47,16 @@ def test_every_name_the_demos_import_resolves():
     assert checked > 0
 
 
+def test_the_readme_quick_start_runs_and_settles_inside_its_certificate():
+    # the library example is run, not just read, so it cannot drift from the API
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Quick start (library)\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["traj"].settled_at <= scope["cert"].T
+
+
 def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
@@ -82,8 +92,9 @@ def test_traced_train_sees_every_law_evaluation(tmp_path):
         "integ.method = rk4\ninteg.dt = 1e-4\ninteg.t_max = 0.02\ninteg.record_stride = 1\n"
         "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\nbound.gamma = 1\n"))
     rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-    steps = len(rows) - 2  # a header, then one record per step and the start
-    evaluations = 4 * steps + 1  # every step's start, plus three RK4 stages
+    steps = len(rows) - 3  # a header, the start, one record per step, the landing
+    # every step's start plus three RK4 stages, the last start, the landing
+    evaluations = 4 * steps + 2
     assert calls["control.single_neuron_update"] == evaluations
     assert calls["net.forward"] == evaluations + 1  # and E0, for the certificate
 

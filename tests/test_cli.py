@@ -6,15 +6,12 @@ artifacts.  Configs are kept small so the whole module stays fast.
 """
 
 import filecmp
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from lyapflow.cli import main, resolve
-from lyapflow.config import config_from_text, parse_kv
+from lyapflow.cli import main
+from lyapflow.config import parse_kv
 
 # Single sigmoid neuron from zero weights: E0 = |0.5 - 0.48|^1.7 / 1.7,
 # settling bound T* ~ 8.9e-3 with unit gain.  Fast and settles cleanly.
@@ -496,19 +493,6 @@ DERIVED_DT = SINGLE_NEURON.replace("integ.dt = 1e-6\n", "") + (
     "sweep.m_values = 0, 0.2\nsweep.alphas = 0.5, 0.7\n")
 
 
-def _band_dt(x, alphas, k, epsilon, T, M=0.0, envelope_alpha=0.0):
-    """min(T/1e3, b / v_max) over `alphas`: b = ((alpha+1) epsilon)^(1/(alpha+1))
-    is the settle band of |e|, v_max = k S_max rs the top speed of e under the
-    single-neuron law, S_max = sum |x_i| + M |x_i|^envelope_alpha."""
-    s_max = sum(abs(v) + M * abs(v) ** envelope_alpha for v in x)
-    steps = [T / 1e3]
-    for a in alphas:
-        b = ((a + 1) * epsilon) ** (1 / (a + 1))
-        v_max = k * s_max * (a + 1) ** (-a / (a + 1))
-        steps.append(b / v_max)
-    return min(steps)
-
-
 @pytest.fixture(scope="module")
 def derived_dt_train(tmp_path_factory):
     """summary.kv of `train` on DERIVED_DT, run to its settle."""
@@ -519,10 +503,9 @@ def derived_dt_train(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["train", "compare", "perturb-sweep", "alpha-sweep"])
 def test_each_command_takes_dt_from_the_certificate(tmp_path, derived_dt_train, command):
-    # without integ.dt, every command steps at the band step of the noise-free
-    # certificate, for the config's smallest alpha (0.5) and its largest noise
-    # level (M = 0.2, envelope exponent loss.alpha = 0.7); a step sized for
-    # alpha = 0.7 alone left the alpha = 0.5 row unsettled
+    # without integ.dt, every command steps at T/1e3 of the noise-free
+    # certificate, whatever its alphas and noise levels: no step can cross a
+    # settle band, since a run lands inside its band in closed form
     sweep = command.endswith("-sweep")
     text = DERIVED_DT
     if not sweep:  # only dt is checked; stop long before the settle
@@ -532,60 +515,48 @@ def test_each_command_takes_dt_from_the_certificate(tmp_path, derived_dt_train, 
     T = float(_summary(tmp_path / "b")["bound.T"])
     assert main([command, "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     kv = _summary(tmp_path / "c")
-    want = _band_dt((1, -0.6, 0.8, 0.4), (0.5, 0.7), 1.0, 1e-9, T, M=0.2, envelope_alpha=0.7)
-    assert want < T / 1e3
-    assert float(kv["dt"]) == pytest.approx(want, rel=1e-12)
+    assert float(kv["dt"]) == T / 1e3 == 2.4884030672851023e-05
     if sweep:
         assert kv["row0.settled"] == kv["row1.settled"] == "true"
         # the M = 0 level and the alpha = 0.7 level run exactly as train does
         same = "row0." if command == "perturb-sweep" else "row1."
-        assert kv[same + "settled_at"] == derived_dt_train["settled_at"]
+        assert kv[same + "settled_at"] == derived_dt_train["settled_at"] == "0.00888561160268253"
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    alpha=st.floats(0.01, 0.99),
-    log_epsilon=st.floats(-12.0, 1.0),
-    k=st.floats(0.1, 10.0),
-    x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5).filter(
-        lambda v: max(abs(u) for u in v) > 1e-3),
-    y_star=st.floats(0.05, 0.95).filter(lambda y: abs(y - 0.5) > 1e-3),
-    m_share=st.floats(0.0, 0.99),
-)
-def test_the_derived_step_cannot_cross_the_settle_band(alpha, log_epsilon, k, x, y_star,
-                                                       m_share):
-    # resolve builds the integrator without running it: under vanishing noise
-    # M < k, one step moves e by at most v_max dt, which stays inside the band
-    epsilon, M = 10.0 ** log_epsilon, m_share * k
-    cfg = config_from_text(
-        f"net.layers = {len(x)}, 1\nnet.init = zeros\nloss.alpha = {alpha!r}\n"
-        f"gains.k = {k!r}\nstop.epsilon = {epsilon!r}\n"
-        f"mode.x = {', '.join(repr(v) for v in x)}\nmode.y_star = {y_star!r}\n"
-        f"perturb.mode = vanishing\nperturb.M = {M!r}\n")
-    prob = resolve(cfg, SimpleNamespace(unsafe_alpha=False))
-    T = prob.certificate(None)[0].T
-    dt = prob.integ.dt
-    b = ((alpha + 1) * epsilon) ** (1 / (alpha + 1))
-    s_max = sum(abs(v) + M * abs(v) ** alpha for v in x)
-    v_max = k * s_max * (alpha + 1) ** (-alpha / (alpha + 1))
-    assert v_max * dt <= b * (1 + 1e-12)
-    assert dt <= T / 1e3
-    assert dt == pytest.approx(_band_dt(x, (alpha,), k, epsilon, T, M, alpha), rel=1e-12)
-
-
-def test_the_band_step_settles_a_run_that_chattered(tmp_path):
-    # alpha = 0.5 and gamma = 0.01 certify T = 2.29, and T/1e5 = 2.29e-5 let
-    # e chatter over its band: the run ended unsettled at E = 1.52e-8.  The
-    # band step settles it at the closed form (|e0| - b) / (k S rs)
+def test_a_coarse_step_lands_the_run_in_its_band(tmp_path):
+    # alpha = 0.5 and gamma = 0.01 certify T = 2.29, so T/1e3 = 2.29e-3 is
+    # about a quarter of the settle time.  The run takes two grid steps, then
+    # lands at the closed form (|e0| - b) / (k S rs): a stepped run once
+    # chattered over its band here and ended unsettled
     cfg = _write(tmp_path, "net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.5\n"
                  "gains.k = 1\ninteg.t_max = 0.012\nmode.x = 1, -0.6, 0.8, 0.4\n"
                  "mode.y_star = 0.48\nbound.gamma = 0.01\n")
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     kv = _summary(tmp_path / "out")
     b = (1.5e-9) ** (1 / 1.5)
-    closed_form = (0.02 - b) / (2.8 * 1.5 ** (-0.5 / 1.5))
+    v = 2.8 * 1.5 ** (-0.5 / 1.5)
     assert kv["settled"] == "true" and kv["bound.kept"] == "true"
-    assert float(kv["settled_at"]) == pytest.approx(closed_form, abs=float(kv["dt"]))
+    assert kv["dt"] == "0.002289428485106664" and kv["records"] == "4"
+    assert float(kv["final_E"]) <= 1e-9
+    assert abs(float(kv["settled_at"]) - (0.02 - b) / v) <= b / v
+
+
+def test_a_saturated_start_lands_at_once(tmp_path):
+    # z0 = 10.35 and sigma'(z0) = 3.2e-5: the law moves z at v / sigma'(z),
+    # about 70 in one step at T/1e3, and RK4 from there stepped into the
+    # clamp and ended unsettled at T.  That step's first stage would pass z*,
+    # so the run lands at t = 0, on the settle a step of 2e-7 reaches after
+    # 83,934 records
+    cfg = _write(tmp_path, "net.layers = 3, 1\nnet.init = random\nnet.scale = 1.7\n"
+                 "run.seed = 220\nloss.alpha = 0.95\ngains.k = 10\nstop.epsilon = 1e-10\n"
+                 "mode.x = 1.9, -2.8, 2.5\nmode.y_star = 0.12\ninteg.t_max = 0.05\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    kv = _summary(tmp_path / "out")
+    assert kv["records"] == "2" and kv["bound.kept"] == "true"
+    e0 = (1.95 * float(kv["E0"])) ** (1 / 1.95)
+    b = (1.95e-10) ** (1 / 1.95)
+    v = 10 * 7.2 * 1.95 ** (-0.95 / 1.95)
+    assert abs(float(kv["settled_at"]) - (e0 - b) / v) <= b / v
 
 
 README_BARE = ("net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.7\ngains.k = 1\n"
@@ -597,11 +568,11 @@ README_BARE = ("net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.7\ngains.k =
     ("bound.gamma = 1\ninteg.t_max = 0.02\n", "true", None),
     # gamma = 10 is above every |x_i|: T = 0.00249, the run settles at 0.00889
     ("bound.gamma = 10\ninteg.t_max = 0.02\n", "false", "it settled at t = 0.00888"),
-    # dt = 1e-3 steps over the band: e chatters and is unsettled at T
-    ("bound.gamma = 1\ninteg.dt = 1e-3\ninteg.t_max = 0.03\n", "false",
-     "it was unsettled at T = 0.024884 (final E = "),
-    # the same chatter, stopped before T, cannot be judged
-    ("bound.gamma = 1\ninteg.dt = 1e-3\ninteg.t_max = 0.02\n", "unknown", None),
+    # the same run, stopped between T and its settle, is unsettled at T
+    ("bound.gamma = 10\ninteg.t_max = 0.005\n", "false",
+     "it was unsettled at T = 0.0024884 (final E = "),
+    # stopped before T, it cannot be judged
+    ("bound.gamma = 10\ninteg.t_max = 0.002\n", "unknown", None),
 ], ids=["kept", "settled-late", "unsettled-at-T", "stopped-before-T"])
 def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, extra, kept, broke):
     out = tmp_path / "out"
@@ -618,19 +589,54 @@ def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, extra
     assert lines[at + 1] == f"bound.kept = {kept}"
 
 
+@pytest.mark.parametrize("alpha", ["0.2", "0.3"])
+def test_the_small_alpha_readme_runs_settle_in_a_thousand_steps(tmp_path, alpha):
+    # these runs once stepped at b / v_max so no step could cross the band:
+    # 543,308 records (67 s) at alpha = 0.2 and 136,918 (14 s) at 0.3.  At
+    # T/1e3 they land in their band at about a third of T
+    text = README_BARE.replace("loss.alpha = 0.7", f"loss.alpha = {alpha}")
+    cfg = _write(tmp_path, text + "integ.t_max = 0.03\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    kv = _summary(tmp_path / "out")
+    assert kv["settled"] == "true" and kv["bound.kept"] == "true"
+    assert int(kv["records"]) <= 1100
+
+
+@pytest.mark.parametrize("command, rows, alpha", [
+    ("alpha-sweep", "sweep.alphas = 0.5, 0.7, 0.3\n", "0.3"),
+    ("alpha-sweep", "sweep.alphas = 0.3, 0.7, 0.5\n", "0.5"),
+    ("alpha-sweep", "sweep.alphas = 0.3, 0.5, 0.7\n", "0.7"),
+    ("perturb-sweep", "sweep.m_values = 0.2, 0\n", "0.7"),
+], ids=["alpha-0.3", "alpha-0.5", "alpha-0.7", "M-0"])
+def test_a_sweep_row_lands_exactly_as_train_does(tmp_path, command, rows, alpha):
+    # the rows of a stack land at different grid steps, each on its own
+    # row, so the row a sweep writes (its last) is byte-identical to train
+    text = (README_BARE.replace("loss.alpha = 0.7", f"loss.alpha = {alpha}")
+            + "integ.t_max = 0.02\n")
+    sweep = _write(tmp_path, text + rows, "s.kv")
+    assert main([command, "--config", sweep, "--out", str(tmp_path / "s")]) == 0
+    assert main(["train", "--config", _write(tmp_path, text), "--out", str(tmp_path / "t")]) == 0
+    kv = _summary(tmp_path / "s")
+    landed = [kv[f"row{i}.records"] for i in range(int(kv["levels"]))]
+    assert all(kv[f"row{i}.settled"] == "true" for i in range(len(landed)))
+    assert len(set(landed)) == len(landed)
+    assert filecmp.cmp(tmp_path / "s" / "trajectory.csv", tmp_path / "t" / "trajectory.csv",
+                       shallow=False)
+
+
 def test_a_loss_alpha_zero_sweep_steps_as_its_first_level_trains(tmp_path):
     # loss.alpha = 0 has no certificate, so every row once stepped at the
-    # 1e-3 fallback and the 0.7 row ended unsettled at E = 1.44e-6.  Its band
-    # b = epsilon, left in the band set, would shrink dt to about
-    # epsilon / (k S) and end the run in HorizonError
+    # 1e-3 fallback and the 0.7 row ended unsettled at E = 1.44e-6.  The
+    # sweep takes T/1e3 from its alpha = 0.7 level, and that row lands in its
+    # band exactly as train does
     text = README_BARE + "integ.t_max = 0.02\nsweep.alphas = 0, 0.7\n"
     sweep = _write(tmp_path, text.replace("loss.alpha = 0.7\n", "loss.alpha = 0\n"), "s.kv")
     assert main(["alpha-sweep", "--config", sweep, "--out", str(tmp_path / "s"),
                  "--unsafe-alpha"]) == 0
     assert main(["train", "--config", _write(tmp_path, text), "--out", str(tmp_path / "t")]) == 0
     kv, train = _summary(tmp_path / "s"), _summary(tmp_path / "t")
-    assert kv["dt"] == train["dt"] == "3.084418099911476e-06"
-    assert kv["row1.settled_at"] == train["settled_at"] == "0.008886208545844963"
+    assert kv["dt"] == train["dt"] == "2.4884030672851023e-05"
+    assert kv["row1.settled_at"] == train["settled_at"] == "0.00888561160268253"
     assert filecmp.cmp(tmp_path / "s" / "trajectory.csv", tmp_path / "t" / "trajectory.csv",
                        shallow=False)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapflow import (
     Activation,
@@ -13,22 +15,26 @@ from lyapflow import (
     LyapunovLoss,
     Mlp,
     ModeError,
+    PerturbationSpec,
     Sample,
     ShapeError,
     StoppingRule,
     TheoryFlow,
     Trajectory,
     dataset_loss,
+    estimate_gamma,
     forward,
     gen_blobs,
     gradient_flow_update,
     integrate,
     loss_gradient,
+    lyapunov_rate_scale,
     mlp_update,
     sensitivities,
     signal_norm,
 )
 from lyapflow import dynamics
+from lyapflow.bounds import certify
 from lyapflow.datasets import Dataset
 from lyapflow.dynamics import _buffer, _Law, integrate_batch
 
@@ -88,6 +94,50 @@ def test_settle_detection_on_reference_problem():
     assert traj.settled_at <= T * 1.0001
     # loss only decreases on the way there
     assert traj.monotone_violations() == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    alpha=st.floats(0.01, 0.99),
+    log_epsilon=st.floats(-12.0, 1.0),
+    k=st.floats(0.1, 10.0),
+    x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5).filter(
+        lambda v: max(abs(u) for u in v) > 1e-3),
+    y_star=st.floats(0.05, 0.95).filter(lambda y: abs(y - 0.5) > 1e-3),
+    m_share=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    scale=st.one_of(st.just(0.0), st.floats(0.5, 2.0)),
+)
+def test_a_certified_single_neuron_run_settles_by_its_certificate(alpha, log_epsilon, k, x,
+                                                                  y_star, m_share, scale):
+    # a run lands inside its band in closed form, so no step up to T itself
+    # carries it over the band: a noise-free run settles by T, is monotone
+    # and, but for RK4's own error at T/10, settles within b / v of the
+    # closed form, from a saturated start too.  A noise redraw moves z by
+    # w . (d' - d), which does not shrink with e, so a noisy run is neither
+    # monotone nor sure to settle by T; when it settles, it has landed
+    epsilon, M, x = 10.0 ** log_epsilon, m_share * k, np.array(x)
+    mlp = Mlp.random((len(x), 1), seed=7, scale=scale) if scale else Mlp.zeros((len(x), 1))
+    loss, gains = LyapunovLoss.single_neuron(alpha), GainSchedule.uniform(k)
+    mode = TheoryFlow(x, np.array([y_star]))
+    noise = PerturbationSpec("vanishing", M, alpha, seed=1) if M > 0 else None
+    e0 = float(forward(mlp, x).y[0]) - y_star
+    E0 = loss.evaluate(np.array([e0]))
+    bound = certify(E0, gains, estimate_gamma(x), loss, "single_neuron", noise)[0]
+    if bound is None:
+        return
+    b = ((alpha + 1) * epsilon) ** (1 / (alpha + 1))
+    v = k * np.abs(x).sum() * lyapunov_rate_scale(alpha)
+    for dt in (bound.T / 1e3, bound.T / 10, bound.T):
+        integ = Integrator(dt=dt, t_max=bound.T + dt)
+        traj = integrate(mlp, mode, loss, gains, integ, StoppingRule(epsilon), noise=noise)
+        if noise is not None and traj.settled_at is None:
+            continue
+        assert traj.settled_at is not None and traj.settled_at <= bound.T + dt
+        assert traj.t[-1] == traj.settled_at and traj.E[-1] <= epsilon
+        if noise is None:
+            assert traj.monotone_violations() == 0
+        if noise is None and E0 > epsilon and dt != bound.T / 10:
+            assert abs(traj.settled_at - (abs(e0) - b) / v) <= b / v
 
 
 def _fake_traj(t, E, epsilon=1e-9):
