@@ -10,8 +10,8 @@ Subcommands::
     lyapflow gradcheck     --config c.ini ...   backprop vs finite differences
 
 Exit codes: 0 success, 1 run failure (divergence, refused certificate,
-a train run that broke its certificate, failed check), 2 bad configuration
-or usage.
+a train run or perturb-sweep row that broke its certificate, failed check),
+2 bad configuration or usage.
 
 Artifacts land in --out (or run.out, or the working directory):
 trajectory.csv, summary.kv, loss_curve.svg, curves.dat.  trajectory.csv
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import datasets as ds_mod
 from .bounds import GammaEstimate, certify, estimate_gamma
-from .config import ExperimentConfig, load_config
+from .config import load_config
 from .control import GainSchedule
 from .dynamics import (
     EpochFlow,
@@ -56,83 +56,84 @@ _GRADCHECK_TOL = 1e-5
 # ---------------------------------------------------------------- builders
 
 
-def _build_dataset(cfg: ExperimentConfig):
-    if cfg.data_source == "none":
+def _build_dataset(cfg: dict):
+    if cfg["data.source"] == "none":
         return None
-    if cfg.data_source == "blobs":
-        data = ds_mod.gen_blobs(cfg.seed, per_class=cfg.per_class,
-                                separation=cfg.separation)
-    elif cfg.data_source == "linreg":
-        data = ds_mod.gen_linreg(cfg.seed, count=cfg.count, noise_sd=cfg.noise_sd)
+    if cfg["data.source"] == "blobs":
+        data = ds_mod.gen_blobs(cfg["run.seed"], per_class=cfg["data.per_class"],
+                                separation=cfg["data.separation"])
+    elif cfg["data.source"] == "linreg":
+        data = ds_mod.gen_linreg(cfg["run.seed"], count=cfg["data.count"],
+                                 noise_sd=cfg["data.noise_sd"])
     else:  # csv
-        schema = ds_mod.CsvSchema(cfg.feature_cols, cfg.target_cols)
-        data = ds_mod.load_csv(cfg.csv_path, schema)
-    if cfg.normalize:
+        schema = ds_mod.CsvSchema(cfg["data.features"], cfg["data.targets"])
+        data = ds_mod.load_csv(cfg["data.path"], schema)
+    if cfg["data.normalize"]:
         data = ds_mod.normalize(data)
     return data
 
 
-def _build_net(cfg: ExperimentConfig) -> Mlp:
-    act = Activation.IDENTITY if cfg.output_activation == "identity" else Activation.SIGMOID
-    if cfg.init == "zeros":
-        return Mlp.zeros(cfg.layers, output_activation=act)
-    return Mlp.random(cfg.layers, seed=cfg.seed, output_activation=act,
-                      scale=cfg.init_scale)
+def _build_net(cfg: dict) -> Mlp:
+    act = Activation(cfg["net.output_activation"])
+    if cfg["net.init"] == "zeros":
+        return Mlp.zeros(cfg["net.layers"], output_activation=act)
+    return Mlp.random(cfg["net.layers"], seed=cfg["run.seed"], output_activation=act,
+                      scale=cfg["net.scale"])
 
 
-def _build_loss(cfg: ExperimentConfig, law_kind: str, unsafe: bool,
+def _build_loss(cfg: dict, law_kind: str, unsafe: bool,
                 alpha: float | None = None):
-    a = cfg.alpha if alpha is None else alpha
+    a = cfg["loss.alpha"] if alpha is None else alpha
     try:
-        if cfg.loss_kind == "l1":
+        if cfg["loss.kind"] == "l1":
             return L1Loss()
-        if cfg.loss_kind == "l2":
+        if cfg["loss.kind"] == "l2":
             return L2Loss()
         if law_kind == "mlp":
-            return LyapunovLoss.multilayer(a, cfg.beta, allow_unsafe_alpha=unsafe)
+            return LyapunovLoss.multilayer(a, cfg["loss.beta"], allow_unsafe_alpha=unsafe)
         return LyapunovLoss.single_neuron(a, allow_unsafe_alpha=unsafe)
     except ValueError as exc:
         raise ConfigError([f"loss: {exc}"])
 
 
-def _build_mode(cfg: ExperimentConfig, dataset):
-    if cfg.mode == "theory" and cfg.sample_index is None:
-        return TheoryFlow(np.array(cfg.x), np.array(cfg.y_star))
+def _build_mode(cfg: dict, dataset):
+    if cfg["mode.kind"] == "theory" and cfg["mode.sample"] is None:
+        return TheoryFlow(np.array(cfg["mode.x"]), np.array(cfg["mode.y_star"]))
     # the run reads the dataset: its width must fit the net, its row exist
     problems = []
-    if dataset.n_features != cfg.layers[0]:
+    if dataset.n_features != cfg["net.layers"][0]:
         problems.append(f"data: {dataset.n_features} features, "
-                        f"net.layers expects {cfg.layers[0]} inputs")
-    if dataset.n_targets != cfg.layers[-1]:
+                        f"net.layers expects {cfg['net.layers'][0]} inputs")
+    if dataset.n_targets != cfg["net.layers"][-1]:
         problems.append(f"data: {dataset.n_targets} targets, "
-                        f"net.layers expects {cfg.layers[-1]} outputs")
-    if cfg.mode == "theory" and not 0 <= cfg.sample_index < len(dataset):
-        problems.append(f"mode.sample = {cfg.sample_index} is out of range: "
+                        f"net.layers expects {cfg['net.layers'][-1]} outputs")
+    if cfg["mode.kind"] == "theory" and not 0 <= cfg["mode.sample"] < len(dataset):
+        problems.append(f"mode.sample = {cfg['mode.sample']} is out of range: "
                         f"the data has rows 0 to {len(dataset) - 1}")
     if problems:
         raise ConfigError(problems)
-    if cfg.mode == "epoch":
+    if cfg["mode.kind"] == "epoch":
         return EpochFlow(dataset)
-    return TheoryFlow(*dataset.sample(cfg.sample_index))
+    return TheoryFlow(*dataset.sample(cfg["mode.sample"]))
 
 
-def _build_integrator(cfg: ExperimentConfig, bound) -> Integrator:
-    dt = cfg.dt
+def _build_integrator(cfg: dict, bound) -> Integrator:
+    dt = cfg["integ.dt"]
     if dt is None:  # 1,000 steps to a certificate's T; a run lands inside its band
         dt = bound.T / 1e3 if bound is not None else 1e-3
     # epoch mode always takes per-sample Euler steps; name what runs
-    method = "euler" if cfg.mode == "epoch" else cfg.method
-    return Integrator(method=method, dt=dt, t_max=cfg.t_max,
-                      record_stride=cfg.record_stride,
-                      step_budget=cfg.step_budget)
+    method = "euler" if cfg["mode.kind"] == "epoch" else cfg["integ.method"]
+    return Integrator(method=method, dt=dt, t_max=cfg["integ.t_max"],
+                      record_stride=cfg["integ.record_stride"],
+                      step_budget=cfg["integ.step_budget"])
 
 
-def _build_spec(cfg: ExperimentConfig, M: float) -> PerturbationSpec:
+def _build_spec(cfg: dict, M: float) -> PerturbationSpec:
     """The config's input noise at level M: perturb.mode's envelope (a sweep
     without one builds vanishing envelopes), whose exponent is loss.alpha."""
-    mode = cfg.perturb_mode or "vanishing"
-    alpha = cfg.alpha if mode == "vanishing" else None
-    return PerturbationSpec(mode, M, alpha, cfg.seed, cfg.redraw_every)
+    mode = cfg["perturb.mode"] or "vanishing"
+    alpha = cfg["loss.alpha"] if mode == "vanishing" else None
+    return PerturbationSpec(mode, M, alpha, cfg["run.seed"], cfg["perturb.redraw_every"])
 
 
 @dataclass
@@ -156,32 +157,32 @@ class Problem:
                        epoch=isinstance(self.mode, EpochFlow))
 
 
-def resolve(cfg: ExperimentConfig, args) -> Problem:
+def resolve(cfg: dict, args) -> Problem:
     """The one place that decides a run's law, certificate inputs, noise and
     time step."""
     dataset = _build_dataset(cfg)
     mlp = _build_net(cfg)
-    law = select_law(mlp, cfg.loss_kind == "lyapunov")
-    if cfg.beta is not None and law != "mlp":
+    law = select_law(mlp, cfg["loss.kind"] == "lyapunov")
+    if cfg["loss.beta"] is not None and law != "mlp":
         raise ConfigError([f"loss.beta applies to the layered law only; this run "
                            f"follows the {law} law"])
     loss = _build_loss(cfg, law, args.unsafe_alpha)
     mode = _build_mode(cfg, dataset)
     inputs = mode.dataset.inputs if isinstance(mode, EpochFlow) else mode.x
     try:
-        gamma = (GammaEstimate(cfg.gamma) if cfg.gamma is not None
+        gamma = (GammaEstimate(cfg["bound.gamma"]) if cfg["bound.gamma"] is not None
                  else estimate_gamma(inputs))
     except (AssumptionError, ValueError) as exc:
         gamma = exc
-    noise = _build_spec(cfg, cfg.perturb_m) if cfg.perturb_mode else None
-    prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg.k),
-                   StoppingRule(cfg.epsilon), noise, gamma, initial_loss(mlp, mode, loss))
+    noise = _build_spec(cfg, cfg["perturb.M"]) if cfg["perturb.mode"] else None
+    prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg["gains.k"]),
+                   StoppingRule(cfg["stop.epsilon"]), noise, gamma, initial_loss(mlp, mode, loss))
     # one rule for every command: T/1e3 under the noise-free certificate,
     # else the 1e-3 fallback.  loss.alpha = 0 (an alpha-sweep's chatter
     # demo) has none; the first non-zero sweep level certifies instead
     sized = prob
-    level = next((a for a in cfg.alphas if a > 0), None)
-    if cfg.alpha == 0 and level is not None:
+    level = next((a for a in cfg["sweep.alphas"] if a > 0), None)
+    if cfg["loss.alpha"] == 0 and level is not None:
         level_loss = _build_loss(cfg, law, args.unsafe_alpha, alpha=level)
         sized = replace(prob, loss=level_loss, E0=initial_loss(mlp, mode, level_loss))
     prob.integ = _build_integrator(cfg, sized.certificate(None)[0])
@@ -246,7 +247,7 @@ def _delivered(outcomes):
         yield outcome
 
 
-def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
+def _cmd_train(cfg: dict, args, out: Path) -> int:
     """One run, held against its settling-time certificate."""
     prob = resolve(cfg, args)
     loss, spec = prob.loss, prob.noise
@@ -257,10 +258,10 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
 
     lines = [
         "command = train",
-        f"seed = {cfg.seed}",
+        f"seed = {cfg['run.seed']}",
         f"loss = {loss.name}",
         f"law = {prob.law}",
-        f"mode = {cfg.mode}",
+        f"mode = {cfg['mode.kind']}",
         f"method = {prob.integ.method}",
         f"dt = {_num(prob.integ.dt)}",
         f"epsilon = {_num(prob.stop.epsilon)}",
@@ -296,7 +297,7 @@ def _cmd_train(cfg: ExperimentConfig, args, out: Path) -> int:
     return 0
 
 
-def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
+def _cmd_compare(cfg: dict, args, out: Path) -> int:
     """Settling loss vs L1 vs L2."""
     prob = resolve(cfg, args)
     if prob.law == "baseline":
@@ -310,8 +311,8 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
 
     lines = [
         "command = compare",
-        f"seed = {cfg.seed}",
-        f"mode = {cfg.mode}",
+        f"seed = {cfg['run.seed']}",
+        f"mode = {cfg['mode.kind']}",
         f"dt = {_num(prob.integ.dt)}",
         f"epsilon = {_num(prob.stop.epsilon)}",
         f"alpha = {_num(prob.loss.alpha)}",
@@ -340,10 +341,10 @@ def _cmd_compare(cfg: ExperimentConfig, args, out: Path) -> int:
     return 0
 
 
-def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
+def _cmd_bound(cfg: dict, args, out: Path) -> int:
     """Certificate only, no run."""
     prob = resolve(cfg, args)
-    lines = ["command = bound", f"seed = {cfg.seed}", f"E0 = {_num(prob.E0)}"]
+    lines = ["command = bound", f"seed = {cfg['run.seed']}", f"E0 = {_num(prob.E0)}"]
     bound, refusal = prob.certificate(prob.noise)
     if bound is None:
         lines.append(f"bound = none ({refusal})")
@@ -356,27 +357,28 @@ def _cmd_bound(cfg: ExperimentConfig, args, out: Path) -> int:
     return 0
 
 
-def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
+def _cmd_perturb_sweep(cfg: dict, args, out: Path) -> int:
     """Settle time vs noise level M."""
-    if not cfg.m_values:
+    levels = cfg["sweep.m_values"]
+    if not levels:
         raise ConfigError(["perturb-sweep needs sweep.m_values"])
     prob = resolve(cfg, args)
-    gains = prob.gains
-    specs = [_build_spec(cfg, m) for m in cfg.m_values]
-    bounds = [prob.certificate(spec)[0] for spec in specs]
-    trajs = integrate_batch(prob.mlp, prob.mode, prob.loss, gains, prob.integ, prob.stop,
+    specs = [_build_spec(cfg, m) for m in levels]
+    certs = [prob.certificate(spec) for spec in specs]
+    trajs = integrate_batch(prob.mlp, prob.mode, prob.loss, prob.gains, prob.integ, prob.stop,
                             noises=specs)
 
     lines = [
         "command = perturb-sweep",
-        f"seed = {cfg.seed}",
+        f"seed = {cfg['run.seed']}",
         f"dt = {_num(prob.integ.dt)}",
-        f"k_min = {_num(gains.k_min)}",
-        f"levels = {len(cfg.m_values)}",
+        f"k_min = {_num(prob.gains.k_min)}",
+        f"levels = {len(levels)}",
     ]
-    series = []
-    print(f"{'M':>10s} {'certified':>9s} {'T_bound':>12s} {'settled_at':>12s} {'final_E':>12s}")
-    for i, (spec, bnd, traj) in enumerate(zip(specs, bounds, _delivered(trajs))):
+    series, broken = [], []
+    print(f"{'M':>10s} {'certified':>9s} {'T_bound':>12s} {'settled_at':>12s} "
+          f"{'final_E':>12s} {'kept':>7s}")
+    for i, (spec, (bnd, refusal), traj) in enumerate(zip(specs, certs, _delivered(trajs))):
         m = spec.M
         certified = bnd is not None
         p = f"row{i}."
@@ -386,28 +388,32 @@ def _cmd_perturb_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
             if bnd.heuristic:
                 lines.append(f"{p}heuristic = true")
         else:
-            lines.append(f"{p}T_bound = none")
-            if spec.mode == "vanishing" and m >= gains.k_min:
-                lines.append(f"{p}note = unguaranteed: M >= k_min")
-        lines += _traj_lines(p, traj)
+            lines += [f"{p}T_bound = none", f"{p}note = {refusal}"]
+        kept = _kept(bnd.T, traj, prob.integ.dt) if certified else None
+        if kept == "false":
+            broken.append(f"{m:.6g}")
+        lines += _traj_lines(p, traj, kept)
         series.append((f"M={m:g}", traj.t.tolist(), traj.E.tolist()))
         # an epoch-mode certificate is flagged in the table as in summary.kv
         shown = "heuristic" if certified and bnd.heuristic else str(certified)
         print(f"{m:10.4g} {shown:>9s} "
               f"{(f'{bnd.T:.6g}' if certified else 'none'):>12s} "
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
-              f"{traj.E[-1]:12.6g}")
+              f"{traj.E[-1]:12.6g} {kept or 'none':>7s}")
     _write_kv(out / "summary.kv", lines)
     trajs[-1].to_csv(out / "trajectory.csv")  # the last level's run
     _plot_series(out, series, title="settling under input noise")
+    if broken:
+        raise GuaranteeError(f"the sweep broke its certificate at M = {', '.join(broken)}")
     return 0
 
 
-def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
+def _cmd_alpha_sweep(cfg: dict, args, out: Path) -> int:
     """Stability across alpha values."""
-    if not cfg.alphas:
+    alphas = cfg["sweep.alphas"]
+    if not alphas:
         raise ConfigError(["alpha-sweep needs sweep.alphas"])
-    if any(a == 0.0 for a in cfg.alphas) and not args.unsafe_alpha:
+    if any(a == 0.0 for a in alphas) and not args.unsafe_alpha:
         raise ConfigError(
             ["sweep.alphas includes 0; pass --unsafe-alpha to run the chatter demo"]
         )
@@ -417,14 +423,14 @@ def _cmd_alpha_sweep(cfg: ExperimentConfig, args, out: Path) -> int:
     if prob.noise is not None:
         raise ConfigError(["alpha-sweep runs noise-free; remove perturb.mode"])
     # every level's loss is built, or refused, before the first row prints
-    losses = [_build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a) for a in cfg.alphas]
+    losses = [_build_loss(cfg, prob.law, args.unsafe_alpha, alpha=a) for a in alphas]
     trajs = integrate_batch(prob.mlp, prob.mode, losses, prob.gains, prob.integ, prob.stop)
 
-    lines = ["command = alpha-sweep", f"seed = {cfg.seed}",
-             f"dt = {_num(prob.integ.dt)}", f"levels = {len(cfg.alphas)}"]
+    lines = ["command = alpha-sweep", f"seed = {cfg['run.seed']}",
+             f"dt = {_num(prob.integ.dt)}", f"levels = {len(alphas)}"]
     series = []
     print(f"{'alpha':>7s} {'violations':>10s} {'settled_at':>12s} {'final_E':>12s}")
-    for i, (a, traj) in enumerate(zip(cfg.alphas, _delivered(trajs))):
+    for i, (a, traj) in enumerate(zip(alphas, _delivered(trajs))):
         p = f"row{i}."
         lines.append(f"{p}alpha = {_num(a)}")
         lines += _traj_lines(p, traj)
@@ -455,7 +461,7 @@ def _fd_gradient(mlp: Mlp, x, y_star, loss, h: float = 1e-6) -> list:
     return grads
 
 
-def _cmd_gradcheck(cfg: ExperimentConfig, args, out: Path) -> int:
+def _cmd_gradcheck(cfg: dict, args, out: Path) -> int:
     """Backprop vs finite differences."""
     prob = resolve(cfg, args)
     mlp, loss = prob.mlp, prob.loss
@@ -476,8 +482,8 @@ def _cmd_gradcheck(cfg: ExperimentConfig, args, out: Path) -> int:
     ok = worst <= _GRADCHECK_TOL
     _write_kv(out / "summary.kv", [
         "command = gradcheck",
-        f"seed = {cfg.seed}",
-        f"layers = {','.join(str(n) for n in cfg.layers)}",
+        f"seed = {cfg['run.seed']}",
+        f"layers = {','.join(str(n) for n in cfg['net.layers'])}",
         f"loss = {loss.name}",
         f"max_rel_error = {_num(worst)}",
         f"tolerance = {_num(_GRADCHECK_TOL)}",
@@ -529,11 +535,11 @@ def main(argv=None) -> int:
         if args.seed < 0:
             print("error: --seed must be non-negative", file=sys.stderr)
             return 2
-        cfg.seed = args.seed
+        cfg["run.seed"] = args.seed
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg["run.out"] = args.out
     try:
-        return _COMMANDS[args.command](cfg, args, Path(cfg.out_dir or "."))
+        return _COMMANDS[args.command](cfg, args, Path(cfg["run.out"] or "."))
     except ConfigError as exc:
         print(f"error: bad config:\n{exc}", file=sys.stderr)
         return 2

@@ -4,16 +4,19 @@ The format is deliberately dumb: one dotted key per line, `#` comments,
 no sections, no nesting.  Every problem in a file is collected and
 reported at once (ConfigError carries the full list), so a user fixes a
 bad config in one round trip instead of five.
+
+`_KEYS` is the one list of settings: each key with its parser and its
+default.  A config is a plain dict keyed by those keys, every key present,
+defaults filled in (`cfg["net.layers"]`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigError
 
-__all__ = ["ExperimentConfig", "parse_kv", "load_config", "config_from_text"]
+__all__ = ["parse_kv", "load_config", "config_from_text"]
 
 
 def parse_kv(text: str, source: str = "<config>") -> dict:
@@ -109,120 +112,57 @@ def _choice(*allowed):
     return parse
 
 
-@dataclass
-class ExperimentConfig:
-    """Everything a run needs, with conservative defaults."""
-
-    # network
-    layers: tuple = (1, 1)
-    output_activation: str = "sigmoid"
-    init: str = "random"
-    init_scale: float = 0.5
-
-    # loss / control law
-    loss_kind: str = "lyapunov"
-    alpha: float = 0.7
-    beta: float = None
-
-    # gains
-    k: float = 1.0
-
-    # integrator
-    method: str = "rk4"
-    dt: float = None           # None -> T/1e3 under a certificate, else 1e-3
-    t_max: float = 10.0
-    record_stride: int = 1
-    step_budget: int = 10_000_000
-
-    # stopping
-    epsilon: float = 1e-9
-
-    # mode
-    mode: str = "theory"
-    x: tuple = None
-    y_star: tuple = None
-    sample_index: int = None   # theory mode: pull (x, y*) from the dataset
-
-    # data
-    data_source: str = "none"
-    per_class: int = 50
-    separation: float = 5.0
-    count: int = 40
-    noise_sd: float = 0.0
-    csv_path: str = None
-    feature_cols: tuple = None
-    target_cols: tuple = None
-    normalize: bool = False
-
-    # perturbation
-    perturb_mode: str = None
-    perturb_m: float = None
-    redraw_every: int = 1
-
-    # bound
-    gamma: float = None        # None -> the data minimum
-
-    # bookkeeping
-    seed: int = 0
-    out_dir: str = None
-
-    # sweeps
-    alphas: tuple = ()
-    m_values: tuple = ()
-
-
-# key -> (attribute, parser)
+# key -> (parser, default): the one list of settings
 _KEYS = {
-    "net.layers": ("layers", _list(_int)),
-    "net.output_activation": ("output_activation", _choice("sigmoid", "identity")),
-    "net.init": ("init", _choice("random", "zeros")),
-    "net.scale": ("init_scale", _positive),
-    "loss.kind": ("loss_kind", _choice("lyapunov", "l1", "l2")),
-    "loss.alpha": ("alpha", float),
-    "loss.beta": ("beta", float),
-    "gains.k": ("k", _positive),
-    "integ.method": ("method", _choice("rk4", "euler")),
-    "integ.dt": ("dt", _positive),
-    "integ.t_max": ("t_max", _positive),
-    "integ.record_stride": ("record_stride", _count),
-    "integ.step_budget": ("step_budget", _count),
-    "stop.epsilon": ("epsilon", _positive),
-    "mode.kind": ("mode", _choice("theory", "epoch")),
-    "mode.x": ("x", _list(_finite)),
-    "mode.y_star": ("y_star", _list(_finite)),
-    "mode.sample": ("sample_index", _int),
-    "data.source": ("data_source", _choice("none", "blobs", "linreg", "csv")),
-    "data.per_class": ("per_class", _count),
-    "data.separation": ("separation", _finite),
-    "data.count": ("count", _count),
-    "data.noise_sd": ("noise_sd", _nonnegative),
-    "data.path": ("csv_path", str),
-    "data.features": ("feature_cols", _list(str)),
-    "data.targets": ("target_cols", _list(str)),
-    "data.normalize": ("normalize", _bool),
-    "perturb.mode": ("perturb_mode", _choice("vanishing", "amplitude")),
-    "perturb.M": ("perturb_m", _nonnegative),
-    "perturb.redraw_every": ("redraw_every", _count),
-    "bound.gamma": ("gamma", _positive),
-    "run.seed": ("seed", _nonnegative_int),
-    "run.out": ("out_dir", str),
-    "sweep.alphas": ("alphas", _list(float)),
-    "sweep.m_values": ("m_values", _list(_nonnegative)),
+    "net.layers": (_list(_int), (1, 1)),
+    "net.output_activation": (_choice("sigmoid", "identity"), "sigmoid"),
+    "net.init": (_choice("random", "zeros"), "random"),
+    "net.scale": (_positive, 0.5),
+    "loss.kind": (_choice("lyapunov", "l1", "l2"), "lyapunov"),
+    "loss.alpha": (float, 0.7),
+    "loss.beta": (float, None),
+    "gains.k": (_positive, 1.0),
+    "integ.method": (_choice("rk4", "euler"), "rk4"),
+    "integ.dt": (_positive, None),  # None -> T/1e3 under a certificate, else 1e-3
+    "integ.t_max": (_positive, 10.0),
+    "integ.record_stride": (_count, 1),
+    "integ.step_budget": (_count, 10_000_000),
+    "stop.epsilon": (_positive, 1e-9),
+    "mode.kind": (_choice("theory", "epoch"), "theory"),
+    "mode.x": (_list(_finite), None),
+    "mode.y_star": (_list(_finite), None),
+    "mode.sample": (_int, None),  # theory mode: pull (x, y*) from the dataset
+    "data.source": (_choice("none", "blobs", "linreg", "csv"), "none"),
+    "data.per_class": (_count, 50),
+    "data.separation": (_finite, 5.0),
+    "data.count": (_count, 40),
+    "data.noise_sd": (_nonnegative, 0.0),
+    "data.path": (str, None),
+    "data.features": (_list(str), None),
+    "data.targets": (_list(str), None),
+    "data.normalize": (_bool, False),
+    "perturb.mode": (_choice("vanishing", "amplitude"), None),
+    "perturb.M": (_nonnegative, None),
+    "perturb.redraw_every": (_count, 1),
+    "bound.gamma": (_positive, None),  # None -> the data minimum
+    "run.seed": (_nonnegative_int, 0),
+    "run.out": (str, None),
+    "sweep.alphas": (_list(float), ()),
+    "sweep.m_values": (_list(_nonnegative), ()),
 }
 
 
-def config_from_text(text: str, source: str = "<config>") -> ExperimentConfig:
+def config_from_text(text: str, source: str = "<config>") -> dict:
+    """Every key of `_KEYS` mapped to its parsed value, or to its default."""
     pairs = parse_kv(text, source=source)
-    cfg = ExperimentConfig()
+    cfg = {key: default for key, (_, default) in _KEYS.items()}
     problems = []
     for key, raw in pairs.items():
-        entry = _KEYS.get(key)
-        if entry is None:
+        if key not in _KEYS:
             problems.append(f"{source}: unknown key {key!r}")
             continue
-        attr, parser = entry
         try:
-            setattr(cfg, attr, parser(raw))
+            cfg[key] = _KEYS[key][0](raw)
         except ValueError as exc:
             problems.append(f"{source}: bad value for {key!r}: {exc}")
     problems.extend(_cross_checks(cfg, source, pairs))
@@ -231,60 +171,64 @@ def config_from_text(text: str, source: str = "<config>") -> ExperimentConfig:
     return cfg
 
 
-def _cross_checks(cfg: ExperimentConfig, source: str, given) -> list:
+def _cross_checks(cfg: dict, source: str, given) -> list:
     probs = []
-    if len(cfg.layers) < 2:
+    layers, x, y_star, sample = (cfg["net.layers"], cfg["mode.x"], cfg["mode.y_star"],
+                                 cfg["mode.sample"])
+    mode, data, perturb_mode = cfg["mode.kind"], cfg["data.source"], cfg["perturb.mode"]
+    if len(layers) < 2:
         probs.append(f"{source}: net.layers needs at least input,output sizes")
-    elif any(n < 1 for n in cfg.layers):
+    elif any(n < 1 for n in layers):
         probs.append(f"{source}: net.layers entries must be positive")
-    if cfg.mode == "theory":
-        has_inline = cfg.x is not None or cfg.y_star is not None
-        if has_inline and (cfg.x is None or cfg.y_star is None):
+    if mode == "theory":
+        has_inline = x is not None or y_star is not None
+        if has_inline and (x is None or y_star is None):
             probs.append(f"{source}: mode.x and mode.y_star must be given together")
-        if cfg.sample_index is not None and has_inline:
+        if sample is not None and has_inline:
             probs.append(f"{source}: give mode.sample or mode.x/mode.y_star, not both")
-        if cfg.sample_index is not None and cfg.data_source == "none":
+        if sample is not None and data == "none":
             probs.append(f"{source}: mode.sample needs a data.source")
-        if not has_inline and cfg.sample_index is None:
+        if not has_inline and sample is None:
             probs.append(f"{source}: theory mode needs mode.x/mode.y_star or mode.sample")
-        if cfg.x is not None and len(cfg.x) != cfg.layers[0]:
+        if x is not None and len(x) != layers[0]:
             probs.append(
-                f"{source}: mode.x has {len(cfg.x)} entries, net.layers expects {cfg.layers[0]}"
+                f"{source}: mode.x has {len(x)} entries, net.layers expects {layers[0]}"
             )
-        if cfg.y_star is not None and len(cfg.y_star) != cfg.layers[-1]:
+        if y_star is not None and len(y_star) != layers[-1]:
             probs.append(
-                f"{source}: mode.y_star has {len(cfg.y_star)} entries, "
-                f"net.layers expects {cfg.layers[-1]}"
+                f"{source}: mode.y_star has {len(y_star)} entries, "
+                f"net.layers expects {layers[-1]}"
             )
     else:  # epoch
-        if cfg.data_source == "none":
+        if data == "none":
             probs.append(f"{source}: epoch mode needs a data.source")
-    if cfg.data_source == "csv":
-        if cfg.csv_path is None:
+    if data == "csv":
+        if cfg["data.path"] is None:
             probs.append(f"{source}: data.source=csv needs data.path")
-        if cfg.feature_cols is None or cfg.target_cols is None:
+        if cfg["data.features"] is None or cfg["data.targets"] is None:
             probs.append(f"{source}: data.source=csv needs data.features and data.targets")
-    if cfg.perturb_mode is not None and cfg.perturb_m is None:
+    if perturb_mode is not None and cfg["perturb.M"] is None:
         probs.append(f"{source}: perturb.mode needs perturb.M")
-    if any(not 0.0 <= a < 1.0 for a in cfg.alphas):
+    if any(not 0.0 <= a < 1.0 for a in cfg["sweep.alphas"]):
         probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
     # a vanishing envelope's exponent is loss.alpha, whatever the loss;
     # amplitude noise, and a config without noise, read no envelope exponent
-    vanishing = cfg.perturb_mode == "vanishing" or (cfg.perturb_mode is None
-                                                     and bool(cfg.m_values))
-    if vanishing and not 0.0 <= cfg.alpha < 1.0:
-        probs.append(f"{source}: loss.alpha = {cfg.alpha!r} is the vanishing "
+    vanishing = perturb_mode == "vanishing" or (perturb_mode is None
+                                                and bool(cfg["sweep.m_values"]))
+    alpha, kind = cfg["loss.alpha"], cfg["loss.kind"]
+    if vanishing and not 0.0 <= alpha < 1.0:
+        probs.append(f"{source}: loss.alpha = {alpha!r} is the vanishing "
                      "envelope's exponent; it must lie in [0, 1)")
-    if "loss.alpha" in given and cfg.loss_kind != "lyapunov" and not vanishing:
+    if "loss.alpha" in given and kind != "lyapunov" and not vanishing:
         probs.append(f"{source}: loss.alpha applies to the lyapunov loss, or to a vanishing "
-                     f"envelope; loss.kind = {cfg.loss_kind} ignores it")
-    if cfg.mode == "epoch" and cfg.redraw_every > 1:  # envelopes differ per sample
+                     f"envelope; loss.kind = {kind} ignores it")
+    if mode == "epoch" and cfg["perturb.redraw_every"] > 1:  # envelopes differ per sample
         probs.append(f"{source}: perturb.redraw_every > 1 needs mode.kind = theory; "
                      "epoch mode draws fresh noise for every sample")
     return probs
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path) -> dict:
     with open(path) as fh:
         text = fh.read()
     return config_from_text(text, source=str(path))

@@ -384,7 +384,9 @@ def test_perturb_sweep_flags_unguaranteed_level(tmp_path, capsys):
     assert kv["row0.settled"] == "true"
     assert float(kv["row0.settled_at"]) <= float(kv["row0.T_bound"])
     assert kv["row1.certified"] == "false"
-    assert "unguaranteed" in kv["row1.note"]
+    # the note is certify's own reason for the refusal
+    assert kv["row1.note"] == ("no certificate: k_min = 1.0 must exceed the perturbation "
+                               "level M = 2.0")
     table = capsys.readouterr().out
     assert "certified" in table and "0.2" in table
 
@@ -622,6 +624,8 @@ def test_a_sweep_row_lands_exactly_as_train_does(tmp_path, command, rows, alpha)
     assert len(set(landed)) == len(landed)
     assert filecmp.cmp(tmp_path / "s" / "trajectory.csv", tmp_path / "t" / "trajectory.csv",
                        shallow=False)
+    if command == "perturb-sweep":  # the written row is judged as train judges its run
+        assert kv["row1.bound.kept"] == _summary(tmp_path / "t")["bound.kept"] == "true"
 
 
 def test_a_loss_alpha_zero_sweep_steps_as_its_first_level_trains(tmp_path):
@@ -666,11 +670,46 @@ def test_perturb_sweep_reports_the_lowest_diverging_level(tmp_path, capsys):
     assert main(["perturb-sweep", "--config", cfg, "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == (
-        "         M certified      T_bound   settled_at      final_E\n"
-        "         0     False         none         0.01            0\n"
+        "         M certified      T_bound   settled_at      final_E    kept\n"
+        "         0     False         none         0.01            0    none\n"
     )
     assert captured.err == "error: state diverged (NaN/Inf) at t=7.09\n"
     assert not out.exists()
+
+
+# a one-input neuron whose noisy level chatters outside its settle band: w
+# reaches about -24, so a redraw moves e by up to about 0.04 against b = 5e-4
+BROKEN_SWEEP = (
+    "net.layers = 1, 1\nnet.init = zeros\nloss.alpha = 0.6513769671338443\n"
+    "gains.k = 1.1245103986668186\nstop.epsilon = 2.2776021573951867e-06\n"
+    "mode.x = 0.08275585610399094\nmode.y_star = 0.12181771757377756\n"
+    "integ.dt = 0.0053233725914233965\ninteg.t_max = 5.33\n"
+)
+
+
+def test_a_sweep_row_that_broke_its_certificate_fails_the_sweep(tmp_path, capsys):
+    # the M = 0.078 row printed certified True, T_bound 5.32337 and settled_at
+    # none, and the sweep exited 0.  It exits 1 after writing every artifact,
+    # and each row's verdict is the one train gives at that M
+    sweep = _write(tmp_path, BROKEN_SWEEP + "sweep.m_values = 0, 0.07824014894821374\n", "s.kv")
+    out = tmp_path / "s"
+    assert main(["perturb-sweep", "--config", sweep, "--out", str(out), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: the sweep broke its certificate at M = 0.0782401\n"
+    table = captured.out.splitlines()
+    assert table[0].split()[-1] == "kept"
+    assert [line.split()[-1] for line in table[1:]] == ["true", "false"]
+    for name in ARTIFACTS:
+        assert (out / name).exists(), name
+    kv = _summary(out)
+    assert kv["row0.bound.kept"] == "true" and kv["row1.bound.kept"] == "false"
+    assert kv["row1.certified"] == "true" and kv["row1.settled"] == "false"
+    for i, m in enumerate(("0", "0.07824014894821374")):
+        noise = f"perturb.mode = vanishing\nperturb.M = {m}\n"
+        one = _write(tmp_path, BROKEN_SWEEP + noise, "t.kv")
+        code = main(["train", "--config", one, "--out", str(tmp_path / "t"), "--seed", "1"])
+        kept = _summary(tmp_path / "t")["bound.kept"]
+        assert kept == kv[f"row{i}.bound.kept"] and code == (1 if kept == "false" else 0)
 
 
 @pytest.mark.parametrize("seed, noise, t_max", [

@@ -51,28 +51,28 @@ def test_config_happy_path_covers_key_groups():
         "run.seed = 42\n"
         "run.out = /tmp/somewhere\n"
     )
-    assert cfg.layers == (4, 8, 1)
-    assert cfg.output_activation == "identity"
-    assert cfg.init == "zeros"
-    assert cfg.alpha == 0.5 and cfg.beta == 0.2
-    assert cfg.k == 2.5
-    assert cfg.method == "euler"
-    assert cfg.dt == 1e-4
-    assert cfg.record_stride == 10
-    assert cfg.epsilon == 1e-6
-    assert cfg.x == (1.0, 0.5, -0.2, 0.0)
-    assert cfg.y_star == (-3.0,)
-    assert cfg.gamma == 0.5
-    assert cfg.seed == 42
-    assert cfg.out_dir == "/tmp/somewhere"
+    assert cfg["net.layers"] == (4, 8, 1)
+    assert cfg["net.output_activation"] == "identity"
+    assert cfg["net.init"] == "zeros"
+    assert cfg["loss.alpha"] == 0.5 and cfg["loss.beta"] == 0.2
+    assert cfg["gains.k"] == 2.5
+    assert cfg["integ.method"] == "euler"
+    assert cfg["integ.dt"] == 1e-4
+    assert cfg["integ.record_stride"] == 10
+    assert cfg["stop.epsilon"] == 1e-6
+    assert cfg["mode.x"] == (1.0, 0.5, -0.2, 0.0)
+    assert cfg["mode.y_star"] == (-3.0,)
+    assert cfg["bound.gamma"] == 0.5
+    assert cfg["run.seed"] == 42
+    assert cfg["run.out"] == "/tmp/somewhere"
 
 
 def test_config_defaults():
     cfg = config_from_text("mode.x = 0.5\nmode.y_star = 0.5\n")
-    assert cfg.layers == (1, 1)
-    assert cfg.loss_kind == "lyapunov" and cfg.alpha == 0.7 and cfg.beta is None
-    assert cfg.method == "rk4" and cfg.dt is None
-    assert cfg.mode == "theory" and cfg.seed == 0
+    assert cfg["net.layers"] == (1, 1)
+    assert cfg["loss.kind"] == "lyapunov" and cfg["loss.alpha"] == 0.7 and cfg["loss.beta"] is None
+    assert cfg["integ.method"] == "rk4" and cfg["integ.dt"] is None
+    assert cfg["mode.kind"] == "theory" and cfg["run.seed"] == 0
 
 
 def test_unknown_key_and_bad_value_reported_together():
@@ -209,10 +209,10 @@ def test_every_noise_exponent_case_resolves_or_is_refused(kind, alpha, noise, un
         assert refusal is not None and refusal in str(exc)
         return
     assert refusal is None
-    assert cfg.alpha == value
+    assert cfg["loss.alpha"] == value
     spec = _build_spec(cfg, 0.3)
     assert spec.mode == ("amplitude" if noise == "amplitude" else "vanishing")
-    assert spec.alpha == (None if noise == "amplitude" else cfg.alpha)
+    assert spec.alpha == (None if noise == "amplitude" else cfg["loss.alpha"])
     assert prob.noise == (_build_spec(cfg, 0.1) if noise in ("vanishing", "amplitude")
                           else None)
 
@@ -254,7 +254,7 @@ def test_bool_spellings():
         cfg = config_from_text(
             f"mode.kind = epoch\ndata.source = blobs\ndata.normalize = {word}\n"
         )
-        assert cfg.normalize is want
+        assert cfg["data.normalize"] is want
     with pytest.raises(ConfigError, match="data.normalize"):
         config_from_text("mode.kind = epoch\ndata.source = blobs\ndata.normalize = maybe\n")
 
@@ -263,7 +263,7 @@ def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.kv"
     path.write_text("mode.x = 2\nmode.y_star = 0.75\ngains.k = 3\n")
     cfg = load_config(path)
-    assert cfg.x == (2.0,) and cfg.k == 3.0
+    assert cfg["mode.x"] == (2.0,) and cfg["gains.k"] == 3.0
     # problems name the file so the user can find the line
     path.write_text("nonsense line\n")
     with pytest.raises(ConfigError, match="run.kv:1"):
