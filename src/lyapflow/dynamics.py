@@ -36,9 +36,10 @@ its settle band: it lands inside the band in closed form (``_Theory._land``).
 
 Inputs are checked once, when the flow is built: the theory sample and
 every dataset row become ``net.Sample`` objects (finite, shape-checked, bias
-column attached), and each noise draw becomes one after its own finiteness
-check.  A non-finite input is refused before the first step, and no RK4
-stage repeats the checks.
+column attached).  A noise redraw is one block (``_Noise``): one row per
+theory-mode step, one per dataset row for a whole epoch, checked and given
+its bias column once, each row then read as a Sample.  A non-finite input is
+refused before the first step, and no RK4 stage repeats the checks.
 
 An integration never mutates the caller's network; it works on its own copy
 and returns the final weights inside the Trajectory.
@@ -134,6 +135,9 @@ class EpochFlow:
     The integrator's ``method`` is ignored: every step is an Euler step.
     Input noise is drawn afresh for every sample; an offset cannot be held
     across samples whose envelopes differ, so ``redraw_every`` must be 1.
+    An epoch takes its draws as one block, rows in order, bitwise the stream
+    one draw per sample takes; a level fails at the row where its draw first
+    fails, after the steps on the rows before it.
     """
 
     dataset: object
@@ -442,32 +446,41 @@ class _Runs:
 class _Noise:
     """Input noise for a stack of runs whose specs differ only in M.
 
-    Each redraw takes one block U of unit draws from one generator and
-    perturbs the sample once per run through the spec's own draw
-    (``PerturbationSpec.perturbed``), its envelope scaled by the run's M:
-    bitwise what rng.uniform(-b_r, b_r) returns from a generator in the same
-    state, so every run sees the stream it would see alone."""
+    Each redraw takes one block U (rows, n) of unit draws from one generator,
+    a row per input row in order: one row for a theory-mode step, one per
+    dataset row for a whole epoch, bitwise the stream that one draw of n per
+    row takes.  The block perturbs the inputs once per run through the spec's
+    own draw (``PerturbationSpec.perturbed``), its envelope scaled by the
+    run's M, laid out (rows, R, n): bitwise what rng.uniform(-b_r, b_r)
+    returns from a generator in the same state, so every run sees the stream
+    it would see alone."""
 
     def __init__(self, specs):
         self.unit, self.every = replace(specs[0], M=1.0), specs[0].redraw_every
         self.M = np.array([s.M for s in specs])[:, None]
         self.rng = np.random.default_rng(specs[0].seed)
 
-    def draw(self, x, runs: _Runs):
-        """The Sample of perturbed copies of the input x, one per active run,
-        or None once no run is left.  A run whose draw range or perturbed
-        input is not finite fails here, with the error rng.uniform or
-        forward would raise for it alone."""
-        xs, span = self.unit.perturbed(x, self.rng.random(x.shape), self.M[runs.ids])
-        bad_range = ~np.isfinite(span).all(axis=1)
-        bad = bad_range | ~np.isfinite(xs).all(axis=1)
-        if bad.any():
-            runs.drop(bad, lambda j: OverflowError("Range exceeds valid bounds")
-                      if bad_range[j] else ShapeError("input contains non-finite entries"))
-            xs = xs[~bad]
-            if not len(xs):
-                return None
-        return Sample.trusted(xs if runs.stacked else xs[0])
+    def draws(self, X, runs: _Runs):
+        """Yield, for each row of the inputs X (rows, n), the Sample of its
+        perturbed copies, one per active run; stop once no run is left.  A
+        run whose draw range or perturbed input is not finite fails at the
+        first row where it is not, with the error rng.uniform or forward
+        would raise for it alone."""
+        xs, span = self.unit.perturbed(X[:, None], self.rng.random(X.shape)[:, None],
+                                       self.M[runs.ids])
+        bad_range = ~np.isfinite(span).all(axis=-1)
+        bad = bad_range | ~np.isfinite(xs).all(axis=-1)
+        block = Sample.trusted(xs if runs.stacked else xs[:, 0])  # one bias append
+        for i, fails in enumerate(bad.any(axis=1).tolist()):
+            if fails and bad[i].any():
+                gone, ranges = bad[i], bad_range[i]
+                runs.drop(gone, lambda j: OverflowError("Range exceeds valid bounds")
+                          if ranges[j] else ShapeError("input contains non-finite entries"))
+                if not len(runs.ids):
+                    return
+                block, bad, bad_range = (Sample.trusted(block.x[:, ~gone]),
+                                         bad[:, ~gone], bad_range[:, ~gone])
+            yield Sample.trusted(block.x[i], block.z[i])
 
 
 class _Theory:
@@ -486,7 +499,7 @@ class _Theory:
 
     def measure(self, runs: _Runs, noise, n: int, t: float):
         if noise is not None and n % noise.every == 0:
-            runs.x = noise.draw(self.x.x, runs)
+            runs.x = next(noise.draws(self.x.x[None], runs), None)
             if runs.x is None:
                 return None, None
         E, e, runs.u = self.law.eval(runs.layers, runs.x, self.y_star)
@@ -533,11 +546,12 @@ class _Theory:
 
 
 class _Epochs:
-    """Epoch mode: a checkpoint every epoch, one Euler step per sample apart."""
+    """Epoch mode: a checkpoint every epoch, one Euler step per sample apart.
+    A noisy epoch draws every sample's noise as one block (``_Noise.draws``)."""
 
-    def __init__(self, ds, rows: list, law: _Law, integ: Integrator):
+    def __init__(self, ds, samples: list, law: _Law, integ: Integrator):
         self.ds, self.law, self.dt, self.span = ds, law, integ.dt, len(ds)
-        self.rows = rows  # (Sample, target) per dataset row
+        self.samples, self.targets = samples, list(ds.targets)  # per dataset row
 
     def measure(self, runs: _Runs, noise, n: int, t: float):
         self.law.mlp.weights = runs.layers  # one pass for every active run
@@ -545,11 +559,9 @@ class _Epochs:
         return runs.drop_diverged(t, E, errs, runs.W)
 
     def advance(self, runs: _Runs, noise, t: float, errs) -> None:
-        for x, y_star in self.rows:
-            if noise is not None:
-                x = noise.draw(x.x, runs)
-                if x is None:
-                    return
+        # a noisy epoch takes one block of draws; its rows stop once no run is left
+        xs = self.samples if noise is None else noise.draws(self.ds.inputs, runs)
+        for x, y_star in zip(xs, self.targets):
             runs.u = self.law.rates(runs.layers, x, y_star)
             np.add(runs.W, self.dt * runs.u, out=runs.W)
 
@@ -632,8 +644,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
             raise ModeError("epoch mode draws fresh noise for every sample; "
                             "redraw_every must be 1")
         _check_targets(ds.targets)
-        rows = [(Sample(x, work.n_inputs), y) for x, y in zip(ds.inputs, ds.targets)]
-        flow = _Epochs(ds, rows, rule, integ)
+        flow = _Epochs(ds, [Sample(x, work.n_inputs) for x in ds.inputs], rule, integ)
     else:
         raise ModeError(f"unknown train mode {type(mode).__name__}")
     last = n_steps // flow.span

@@ -182,14 +182,15 @@ class Sample:
         self._wrap(x)
 
     @classmethod
-    def trusted(cls, x: np.ndarray) -> "Sample":
-        """A Sample of a float array the caller has already checked."""
+    def trusted(cls, x: np.ndarray, z: np.ndarray | None = None) -> "Sample":
+        """A Sample of a float array the caller has already checked; `z`, if
+        given, is x with its bias entry appended (a row of a block's z)."""
         sample = cls.__new__(cls)
-        sample._wrap(x)
+        sample._wrap(x, z)
         return sample
 
-    def _wrap(self, x: np.ndarray) -> None:
-        self.x, self.z, self._k = x, _with_bias(x), None
+    def _wrap(self, x: np.ndarray, z: np.ndarray | None = None) -> None:
+        self.x, self.z, self._k = x, _with_bias(x) if z is None else z, None
         self.z.flags.writeable = False
 
     def direction(self, k: float) -> np.ndarray:

@@ -9,8 +9,11 @@ Two envelope shapes for the componentwise offset bound B_i:
   certificate.
 
 Offsets are drawn uniformly from (-B_i, B_i), re-drawn every
-``redraw_every`` integration steps and held in between (theory mode; epoch
-mode draws one per sample and needs ``redraw_every = 1``).
+``redraw_every`` integration steps and held in between (theory mode).  Epoch
+mode needs ``redraw_every = 1``: each sample gets its own offset, and an
+epoch takes them as one block of draws, rows in order, bitwise the stream
+that one draw per sample takes.  A level fails at the row where its draw
+first fails.
 
 A sweep over noise levels is one stacked integration,
 ``dynamics.integrate_batch(..., noises=specs)``, whose levels may differ only
@@ -64,8 +67,9 @@ class PerturbationSpec:
     def perturbed(self, x, u, scale=1.0) -> tuple:
         """(x + offsets, range B - -B) from unit draws u: bitwise what
         x + rng.uniform(-B, B) gives from the same draws.  B is the envelope
-        times `scale`, one row per level for a stack of levels.  The caller
-        refuses a range that is not finite, as rng.uniform does."""
+        times `scale`, which broadcasts: a column of levels (R, 1) over rows
+        (rows, 1, n) of inputs and draws gives one (rows, R, n) block.  The
+        caller refuses a range that is not finite, as rng.uniform does."""
         b = scale * self.bound_for(x)
         lo = -b
         span = b - lo

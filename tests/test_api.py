@@ -14,6 +14,7 @@ import pkgutil
 from pathlib import Path
 
 import lyapflow
+from lyapflow import dynamics
 from lyapflow.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,13 +100,17 @@ def test_traced_train_sees_every_law_evaluation(tmp_path):
     assert calls["net.forward"] == evaluations + 1  # and E0, for the certificate
 
 
+EPOCH_SWEEP = (
+    "net.layers = 4, 1\nnet.init = random\nnet.scale = 0.05\nloss.alpha = 0.7\n"
+    "gains.k = 1\ninteg.dt = 1e-3\ninteg.t_max = 0.06\nstop.epsilon = 1e-12\n"
+    "mode.kind = epoch\ndata.source = blobs\ndata.per_class = 3\n"
+    "sweep.m_values = 0.1, 0.3\n")
+EPOCHS = 10  # 60 steps over 6 rows; neither level settles
+
+
 def test_traced_epoch_sweep_sees_every_law_evaluation(tmp_path):
-    calls = _traced_calls(tmp_path, "perturb-sweep", (
-        "net.layers = 4, 1\nnet.init = random\nnet.scale = 0.05\nloss.alpha = 0.7\n"
-        "gains.k = 1\ninteg.dt = 1e-3\ninteg.t_max = 0.06\nstop.epsilon = 1e-12\n"
-        "mode.kind = epoch\ndata.source = blobs\ndata.per_class = 3\n"
-        "sweep.m_values = 0.1, 0.3\n"))
-    epochs = 10  # 60 steps over 6 rows; neither level settles
+    calls = _traced_calls(tmp_path, "perturb-sweep", EPOCH_SWEEP)
+    epochs = EPOCHS
     # one stacked evaluation per sample step serves both levels
     assert calls["control.single_neuron_update"] == epochs * 6
     assert calls["net.forward"] == epochs * 6
@@ -130,3 +135,30 @@ def test_traced_compare_stacks_its_rows(tmp_path):
     assert calls["control.mlp_update"] == evaluations
     # one gradient-flow call serves the L1 and L2 rows together
     assert calls["control.gradient_flow_update"] == evaluations
+
+
+class _CountingRng:
+    """A generator that counts its ``random`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def test_an_epoch_sweep_draws_its_noise_once_per_epoch(tmp_path, monkeypatch):
+    # the whole epoch's noise is one block of draws, not one draw per sample
+    rngs, init = [], dynamics._Noise.__init__
+
+    def counting(self, specs):
+        init(self, specs)
+        self.rng = _CountingRng(self.rng)
+        rngs.append(self.rng)
+
+    monkeypatch.setattr(dynamics._Noise, "__init__", counting)
+    path = tmp_path / "run.kv"
+    path.write_text(EPOCH_SWEEP)
+    assert main(["perturb-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert [rng.calls for rng in rngs] == [EPOCHS]

@@ -35,6 +35,7 @@ from lyapflow import (
 )
 from lyapflow import dynamics
 from lyapflow.bounds import certify
+from lyapflow.control import single_neuron_update
 from lyapflow.datasets import Dataset
 from lyapflow.dynamics import _buffer, _Law, integrate_batch
 
@@ -231,6 +232,41 @@ def test_epoch_mode_semantics_match_hand_stepping():
     # records: epoch 0 at t=0 and epoch 1 at t = 2 dt
     assert np.allclose(traj.t, [0.0, 2 * dt])
     assert traj.control_norm[0] == 0.0
+
+
+def test_noisy_epochs_draw_the_stream_in_row_order():
+    # one sample at a time, as the stream was first drawn: spec.apply on each
+    # row in order from one generator, then a hand Euler step of the law; the
+    # epoch's block of draws must match it bitwise (a block taken in the wrong
+    # order, say (n, rows), would give each row another row's draws)
+    mlp = Mlp([np.array([[0.3, -0.2, 0.1, 0.05]])], (Activation.SIGMOID,))
+    data = Dataset(np.array([[0.5, -1.2, 0.8], [-0.3, 0.9, 1.5], [1.1, 0.4, -0.7]]),
+                   np.array([[0.2], [0.7], [0.4]]))
+    loss, gains, dt = LyapunovLoss.single_neuron(0.7), GainSchedule.uniform(1.0), 1e-3
+    spec = PerturbationSpec("vanishing", 0.5, alpha=0.7, seed=3)
+    traj = integrate(mlp, EpochFlow(data), loss, gains,
+                     Integrator(method="euler", dt=dt, t_max=6 * dt), StoppingRule(1e-12),
+                     noise=spec)
+
+    rng, work = np.random.default_rng(spec.seed), mlp.copy()
+    E, errors, norms = [], [], [0.0]
+    for epoch in range(3):
+        E_n, err_n = dataset_loss(work, data, loss)
+        E.append(E_n)
+        errors.append(err_n)
+        if epoch == 2:
+            break
+        for x, y_star in zip(data.inputs, data.targets):
+            x = spec.apply(x, rng)
+            trace = forward(work, x)
+            u = single_neuron_update(x, (trace.y - y_star)[0], trace.preacts[0][0], gains,
+                                     rate_scale=lyapunov_rate_scale(0.7))
+            work.weights = [work.weights[0] + dt * u[0]]
+        norms.append(signal_norm(u))
+    assert traj.final_weights[0].tobytes() == work.weights[0].tobytes()
+    assert traj.E.tobytes() == np.array(E).tobytes()
+    assert traj.errors.tobytes() == np.array(errors).tobytes()
+    assert traj.control_norm.tobytes() == np.array(norms).tobytes()
 
 
 def test_epoch_mode_decreases_blob_loss():

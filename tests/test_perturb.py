@@ -222,6 +222,42 @@ def test_sweep_keeps_the_draw_range_check():
                                                  integ, stop)[0])
 
 
+def test_an_epoch_sweep_fails_each_level_at_the_row_its_draw_fails():
+    # an epoch draws its noise as one block, but a level still fails at the
+    # row where its own draw first fails: M = 1e308 has an infinite range at
+    # row 0, and M = 6e307 has a finite range whose perturbed input overflows
+    # on row 1, which sits near the largest float; the levels beside them
+    # run on as they would alone
+    data = Dataset(np.array([[0.5, -0.4, 0.3], [1.79e308, 1.79e308, 1.79e308],
+                             [-0.2, 0.6, 0.1]]), np.array([[0.3], [0.6], [0.4]]))
+    mlp, mode = Mlp.zeros((3, 1)), EpochFlow(data)
+    loss, gains = LyapunovLoss.single_neuron(0.7), GainSchedule.uniform(1.0)
+    integ, stop = Integrator(method="euler", dt=1e-9, t_max=6e-9), StoppingRule(1e-12)
+    specs = [PerturbationSpec("amplitude", M, seed=4) for M in (0.01, 1e308, 6e307, 0.02)]
+    got = dynamics.integrate_batch(mlp, mode, loss, gains, integ, stop, noises=specs)
+    alone = []
+    for spec in specs:
+        try:
+            alone.append(integrate(mlp, mode, loss, gains, integ, stop, noise=spec))
+        except (OverflowError, ShapeError) as exc:
+            alone.append(exc)
+    assert type(alone[1]) is OverflowError and str(alone[1]) == "Range exceeds valid bounds"
+    assert type(alone[2]) is ShapeError and str(alone[2]) == "input contains non-finite entries"
+    for a, b in zip(got, alone):
+        if isinstance(b, Exception):
+            assert type(a) is type(b) and str(a) == str(b)
+        else:
+            assert a.n_records() == 3 and _same_trajectory(a, b)
+    # the overflow is on row 1, after a step on row 0, not at the epoch's start
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        rates = dynamics._Law.rates
+        mp.setattr(dynamics._Law, "rates",
+                   lambda self, w, x, y: seen.append(len(x.x)) or rates(self, w, x, y))
+        dynamics.integrate_batch(mlp, mode, loss, gains, integ, stop, noises=specs[1:3])
+    assert seen == [1]  # the 6e307 level alone steps on row 0, then fails
+
+
 def test_sweep_refuses_a_bias_unit_gamma_for_the_single_neuron_law(tmp_path, capsys):
     # the single-neuron law freezes its bias weight, so the bias unit excites
     # nothing; the key that asked for it is refused when the config is read
