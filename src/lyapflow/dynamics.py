@@ -32,7 +32,10 @@ Each theory-mode step evaluates E once, at its start, for the settle test
 and the record.  The RK4 stages, like the per-sample epoch steps, compute
 only the control signal (and E for the layered law, whose rate scales with
 E**beta).  A single-neuron run with alpha > 0 takes no step that could reach
-its settle band: it lands inside the band in closed form (``_Theory._land``).
+its settle band: it lands inside the band in closed form (``_Theory._land``),
+no later than the last grid time.  The landing test's constants, such as the
+run's speed and band, are computed once per active set and input, not once
+per step; each step tests only its errors against them.
 
 Inputs are checked once, when the flow is built: the theory sample and
 every dataset row become ``net.Sample`` objects (finite, shape-checked, bias
@@ -167,15 +170,15 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Schema: t,E,settle_flag,control_norm,err_0..err_{m-1} (full precision)."""
         m = self.errors.shape[1]
-        header = "t,E,settle_flag,control_norm," + ",".join(f"err_{j}" for j in range(m))
+        lines = ["t,E,settle_flag,control_norm," + ",".join(f"err_{j}" for j in range(m))]
+        # plain floats format as the array scalars do, at a fraction of the cost
+        for t, E, flag, norm, errs in zip(self.t.tolist(), self.E.tolist(),
+                                          (self.E <= self.epsilon).tolist(),
+                                          self.control_norm.tolist(), self.errors.tolist()):
+            lines.append(",".join([f"{t:.17g}", f"{E:.17g}", "1" if flag else "0",
+                                   f"{norm:.17g}"] + [f"{v:.17g}" for v in errs]))
         with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i in range(len(self.t)):
-                flag = 1 if self.E[i] <= self.epsilon else 0
-                cells = [f"{self.t[i]:.17g}", f"{self.E[i]:.17g}", str(flag),
-                         f"{self.control_norm[i]:.17g}"]
-                cells += [f"{v:.17g}" for v in self.errors[i]]
-                fh.write(",".join(cells) + "\n")
+            fh.write("\n".join(lines) + "\n")
 
 
 def dataset_loss(mlp: Mlp, dataset, loss) -> tuple:
@@ -488,14 +491,19 @@ class _Theory:
 
     span = 1
 
-    def __init__(self, x: Sample, y_star, law: _Law, integ: Integrator, epsilon: float):
+    def __init__(self, x: Sample, y_star, law: _Law, integ: Integrator, epsilon: float,
+                 horizon: float):
         self.x, self.y_star, self.law, self.integ, self.epsilon = x, y_star, law, integ, epsilon
+        self.horizon = horizon  # the last grid time; no run lands past it
         # by run id: band b of |e| and rate scale of a run that lands, else nan
         alphas = [loss.alpha if kind == "single_neuron" and loss.alpha > 0 else math.nan
                   for kind, loss in zip(law.kinds, law.losses)]
         self.band = np.array([((a + 1.0) * epsilon) ** (1.0 / (a + 1.0)) for a in alphas])
         self.rs = np.array([lyapunov_rate_scale(a) for a in alphas])
         self.lands = not np.isnan(self.band).all()
+        # the landing test's S, v, b, 2 v dt and b/2, and the (runs.ids,
+        # runs.x) they were computed for
+        self.held, self.consts = (None, None), None
 
     def measure(self, runs: _Runs, noise, n: int, t: float):
         if noise is not None and n % noise.every == 0:
@@ -518,29 +526,36 @@ class _Theory:
         is 4 (|e| - b/2) away or more), so no step taken reaches e = 0.  The
         input weights move by sign(x) (z* - z) / S to z* = logit(y* + sign(e)
         b/2), reached at t + (|e| - b/2) / v, on the run's own (1, n+1) row as
-        alone.  Not if the landed E is not <= epsilon or z meets the clamp."""
+        alone.  Not if that time is past the last grid time, the landed E is
+        not <= epsilon or z meets the clamp.  S, v, b, 2 v dt and b/2 are
+        computed once per active set and input: a compaction replaces
+        runs.ids, a noise redraw runs.x."""
         x, ids, law = runs.x, runs.ids, self.law
-        S = np.broadcast_to(np.add.reduce(np.abs(x.x), axis=-1), ids.shape)
-        speed = law.gains.scalar * self.rs[ids] * S
-        size, band, reach = np.abs(errs[:, 0]), self.band[ids], 2.0 * self.integ.dt * speed
-        y = self.y_star[0] + errs[:, 0]
-        near = np.flatnonzero((reach >= size - band)
-                              | (reach >= 8.0 * y * (1.0 - y) * (size - band / 2)))
-        if not len(near):
+        if self.held[0] is not ids or self.held[1] is not x:
+            S = np.broadcast_to(np.add.reduce(np.abs(x.x), axis=-1), ids.shape)
+            speed, band = law.gains.scalar * self.rs[ids] * S, self.band[ids]
+            self.held = (ids, x)
+            self.consts = S, speed, band, 2.0 * self.integ.dt * speed, band / 2
+        S, speed, band, reach, half = self.consts
+        e0 = errs[:, 0]
+        size, y = np.abs(e0), self.y_star[0] + e0
+        hit = (reach >= size - band) | (reach >= 8.0 * y * (1.0 - y) * (size - half))
+        if not np.logical_or.reduce(hit):
             return
         landed, at, E = np.zeros(len(ids), bool), np.zeros(len(ids)), np.zeros(len(ids))
-        for j in near:
-            b, e, w = self.band[ids[j]], float(errs[j, 0]), runs.rows(runs.W, j)[0]
+        for j in np.flatnonzero(hit):
+            b, e, w = band[j], float(errs[j, 0]), runs.rows(runs.W, j)[0]
             row = Sample.trusted(x.x[j]) if x.x.ndim == 2 else x
             p, z = float(self.y_star[0]) + math.copysign(b / 2.0, e), float((w @ row.z)[0])
             z_star = math.log(p / (1.0 - p)) if 0.0 < p < 1.0 else math.inf
-            if not max(abs(z), abs(z_star)) < PREACT_CLAMP:
+            at_j = t + (abs(e) - b / 2) / speed[j]
+            if not (max(abs(z), abs(z_star)) < PREACT_CLAMP and at_j <= self.horizon):
                 continue
             new = w + np.append(np.sign(row.x) * ((z_star - z) / S[j]), 0.0)
             E_j, e_j, u_j = _Law(law.mlp, [law.losses[j]], law.gains).eval([new], row, self.y_star)
             if E_j <= self.epsilon:
                 w[...], runs.rows(runs.u, j)[0][...] = new, u_j
-                landed[j], E[j], errs[j], at[j] = True, E_j, e_j, t + (abs(e) - b / 2) / speed[j]
+                landed[j], E[j], errs[j], at[j] = True, E_j, e_j, at_j
         runs.record(at, E, errs, landed)
         runs.finish(landed, at.tolist())
 
@@ -632,7 +647,8 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
                 f"({work.n_inputs},) -> ({work.n_outputs},)"
             )
         _check_targets(mode.y_star)
-        flow = _Theory(Sample(mode.x, work.n_inputs), mode.y_star, rule, integ, stop.epsilon)
+        flow = _Theory(Sample(mode.x, work.n_inputs), mode.y_star, rule, integ, stop.epsilon,
+                       n_steps * integ.dt)
     elif isinstance(mode, EpochFlow):
         ds = mode.dataset
         if ds.n_features != work.n_inputs or ds.n_targets != work.n_outputs:

@@ -162,3 +162,34 @@ def test_an_epoch_sweep_draws_its_noise_once_per_epoch(tmp_path, monkeypatch):
     path.write_text(EPOCH_SWEEP)
     assert main(["perturb-sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert [rng.calls for rng in rngs] == [EPOCHS]
+
+
+class _CountingRows:
+    """An array whose reads by index are counted."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.values[key]
+
+
+def test_a_lone_run_computes_its_landing_constants_once(tmp_path, monkeypatch):
+    # the landing test's per-run speed reads the rate scales once per active
+    # set and input, not once per step
+    flows, init = [], dynamics._Theory.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        self.rs = _CountingRows(self.rs)
+        flows.append(self)
+
+    monkeypatch.setattr(dynamics._Theory, "__init__", counting)
+    path = tmp_path / "run.kv"
+    path.write_text("net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.7\ngains.k = 1\n"
+                    "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\nbound.gamma = 1\n")
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 359 and rows[-1].split(",")[2] == "1"  # 357 steps, then it lands
+    assert [flow.rs.reads for flow in flows] == [1]

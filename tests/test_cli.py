@@ -561,6 +561,20 @@ def test_a_saturated_start_lands_at_once(tmp_path):
     assert abs(float(kv["settled_at"]) - (e0 - b) / v) <= b / v
 
 
+def test_no_run_lands_past_its_last_grid_time(tmp_path):
+    # the step from t = 665 dt could land at 0.165891, past both t_max =
+    # 0.1656 and the last grid time 666 dt = 0.165727; the run takes that
+    # step instead and ends unsettled at the last grid time
+    cfg = _write(tmp_path, "net.layers = 2, 1\nnet.init = zeros\nloss.alpha = 0.7\n"
+                 "gains.k = 1.0\ninteg.t_max = 0.1656\nmode.x = 1.0, 0.5\nmode.y_star = 0.3\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    kv = _summary(tmp_path / "out")
+    dt = float(kv["dt"])
+    assert kv["records"] == "667" and float(kv["final_t"]) == 666 * dt
+    assert kv["settled"] == "false" and kv["settled_at"] == "none"
+    assert float(kv["final_E"]) > 1e-9
+
+
 README_BARE = ("net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.7\ngains.k = 1\n"
                "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,7 @@ def test_a_certified_single_neuron_run_settles_by_its_certificate(alpha, log_eps
     for dt in (bound.T / 1e3, bound.T / 10, bound.T):
         integ = Integrator(dt=dt, t_max=bound.T + dt)
         traj = integrate(mlp, mode, loss, gains, integ, StoppingRule(epsilon), noise=noise)
+        assert traj.t[-1] <= math.ceil(integ.t_max / dt - 1e-12) * dt  # no landing past the grid
         if noise is not None and traj.settled_at is None:
             continue
         assert traj.settled_at is not None and traj.settled_at <= bound.T + dt
@@ -206,6 +209,38 @@ def test_trajectory_csv_schema(tmp_path):
         assert float(cells[1]) == traj.E[i]
         assert cells[2] in ("0", "1")
     assert lines[-1].split(",")[2] == "1"  # settled on the last record
+
+
+def _per_cell_csv(traj) -> str:
+    """The text to_csv wrote one array element at a time: its reference."""
+    m = traj.errors.shape[1]
+    lines = ["t,E,settle_flag,control_norm," + ",".join(f"err_{j}" for j in range(m))]
+    for i in range(len(traj.t)):
+        flag = 1 if traj.E[i] <= traj.epsilon else 0
+        cells = [f"{traj.t[i]:.17g}", f"{traj.E[i]:.17g}", str(flag),
+                 f"{traj.control_norm[i]:.17g}"]
+        cells += [f"{v:.17g}" for v in traj.errors[i]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_to_csv_writes_what_a_per_cell_loop_writes(tmp_path, m):
+    # every special value in every column, and an E exactly at epsilon
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1e308,
+                       1e-9, 1e-9 * (1 + 2**-52), 1.0 / 3.0, 0.1, 2.0**60])
+    n = len(values)
+    traj = Trajectory(t=np.roll(values, 1), E=values.copy(),
+                      errors=np.stack([np.roll(values, 2 + j) for j in range(m)], axis=1),
+                      control_norm=np.roll(values, 5), settled_at=None, epsilon=1e-9,
+                      final_weights=[])
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    text = path.read_text()
+    assert text == _per_cell_csv(traj)
+    flags = [line.split(",")[2] for line in text.splitlines()[1:]]
+    assert len(flags) == n and flags[0] == "0"  # nan is not settled
+    assert flags[8:10] == ["1", "0"]  # E = epsilon is, one ulp above it is not
 
 
 def test_epoch_mode_semantics_match_hand_stepping():
@@ -559,3 +594,55 @@ def test_rk4_evaluates_E_at_every_stage_for_layered_law(monkeypatch):
     assert steps == 10 and traj.settled_at is None
     # the start of each step plus three stages, which scale by E**beta
     assert len(calls) == traj.n_records() + 3 * steps
+
+
+def _same_outcome(a, b) -> bool:
+    """Bitwise the same Trajectory, or the same error."""
+    if isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return (a.t.tobytes() == b.t.tobytes() and a.E.tobytes() == b.E.tobytes()
+            and a.errors.tobytes() == b.errors.tobytes()
+            and a.control_norm.tobytes() == b.control_norm.tobytes()
+            and a.settled_at == b.settled_at
+            and [w.tobytes() for w in a.final_weights]
+            == [w.tobytes() for w in b.final_weights])
+
+
+def _landing_stack(case: str) -> list:
+    """The README neuron at dt = T/1e3 to 1.1 T, T its certificate at
+    gamma = 1, as a lone run, a noisy run, an alpha-sweep or a theory
+    perturb-sweep."""
+    mlp, loss, mode, c, E0, T = _reference_problem()
+    T *= c  # the certificate at gamma = 1: c times the closed-form settle time
+    integ, stop = Integrator(dt=T / 1e3, t_max=1.1 * T), StoppingRule()
+    gains = GainSchedule.uniform(1.0)
+    if case == "alpha-sweep":
+        losses = [LyapunovLoss.single_neuron(a) for a in (0.3, 0.5, 0.7, 0.9)]
+        return integrate_batch(mlp, mode, losses, gains, integ, stop)
+    levels = {"lone": None, "redraw-1": [0.3], "redraw-3": [0.3],
+              # M = 1.5 >= k has no certificate; 1e308 fails its first draw
+              "perturb-sweep": [0.0, 0.3, 1e308, 1.5, 0.6]}[case]
+    every = 3 if case == "redraw-3" else 2 if case == "perturb-sweep" else 1
+    noises = None if levels is None else [
+        PerturbationSpec("vanishing", M, ALPHA, seed=1, redraw_every=every) for M in levels]
+    return integrate_batch(mlp, mode, loss, gains, integ, stop, noises)
+
+
+@pytest.mark.parametrize("case", ["lone", "redraw-1", "redraw-3", "alpha-sweep", "perturb-sweep"])
+def test_the_landing_constants_held_per_active_set_change_no_bit(monkeypatch, case):
+    # S, v, b, 2 v dt and b/2 are computed once per active set and input;
+    # forgetting them before every step must change no bit of any run
+    held = _landing_stack(case)
+    land = dynamics._Theory._land
+
+    def fresh(self, runs, t, errs):
+        self.held = (None, None)
+        land(self, runs, t, errs)
+
+    monkeypatch.setattr(dynamics._Theory, "_land", fresh)
+    every_step = _landing_stack(case)
+    settled = [run.settled_at for run in held if not isinstance(run, Exception)]
+    assert None not in settled  # every run lands, stacked rows at different steps
+    assert len(set(settled)) == len(settled)
+    assert sum(isinstance(run, OverflowError) for run in held) == (case == "perturb-sweep")
+    assert all(_same_outcome(a, b) for a, b in zip(held, every_step))
