@@ -30,6 +30,7 @@ import numpy as np
 from .control import GainSchedule
 from .errors import AssumptionError, GuaranteeError, LyapflowError
 from .losses import LyapunovLoss
+from .net import PREACT_CLAMP
 
 __all__ = [
     "GammaEstimate",
@@ -139,16 +140,18 @@ def settling_bound(E0: float, gains: GainSchedule, gamma: GammaEstimate,
 
 
 def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
-            noise=None, epoch: bool = False) -> tuple:
+            noise=None, epoch: bool = False, y_star=None, epsilon: float = 0.0) -> tuple:
     """(certificate, None) for a run of the resolved `law` under the input
     `noise` spec (or none), else (None, why it gets none).
 
     The flavor is 'perturbed' under vanishing noise, else 'single_neuron'.
     Refused: a loss other than the Lyapunov loss, a law other than the
-    single-neuron one, E0 <= 0, amplitude noise, M >= k_min and whatever else
-    ``settling_bound`` rejects.  `gamma` is a GammaEstimate or the error that
-    stopped its estimate.  An `epoch`-mode run steps sample by sample, which
-    the single-sample flow's certificate does not cover: it is marked heuristic.
+    single-neuron one, E0 <= 0, amplitude noise, a theory-mode target
+    `y_star` (with the run's `epsilon`) whose landing point the unit cannot
+    reach, M >= k_min and whatever else ``settling_bound`` rejects.  `gamma`
+    is a GammaEstimate or the error that stopped its estimate.  An
+    `epoch`-mode run steps sample by sample, which the single-sample flow's
+    certificate does not cover: it is marked heuristic.
     """
     if not isinstance(loss, LyapunovLoss):
         return None, f"no certificate for {loss.name} loss"
@@ -161,12 +164,30 @@ def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
         return None, "amplitude-mode noise carries no certificate"
     if isinstance(gamma, Exception):
         return None, str(gamma)
+    if y_star is not None and E0 > epsilon:
+        target = float(np.asarray(y_star).reshape(-1)[0])
+        p = _landing_point(target, epsilon, loss.alpha)
+        z_star = math.log(p / (1.0 - p)) if 0.0 < p < 1.0 else math.inf
+        if not abs(z_star) < PREACT_CLAMP:
+            return None, (f"no certificate for target {target!r}: the run would land at "
+                          f"output {p!r}, which the unit does not reach with "
+                          f"|z| < {PREACT_CLAMP}")
     flavor, M = ("single_neuron", None) if noise is None else ("perturbed", noise.M)
     try:
         return replace(settling_bound(E0, gains, gamma, loss, flavor=flavor, M=M),
                        heuristic=epoch), None
     except (LyapflowError, ValueError) as exc:
         return None, str(exc)
+
+
+def _landing_point(y_star: float, epsilon: float, alpha: float) -> float:
+    """The output p = y* + sign(e0) b/2 a single-neuron run lands at
+    (``dynamics._Theory._land``), b the settle band of |e|.  E0 > epsilon
+    gives |e0| > b, so p lies between the start output and y*: an output of
+    the unit when y* is one.  When y* is not, the start lies on the side of
+    y* toward 1/2, which is the side taken here in either case."""
+    b = ((alpha + 1.0) * epsilon) ** (1.0 / (alpha + 1.0))
+    return y_star - math.copysign(b / 2.0, y_star - 0.5)
 
 
 @dataclass

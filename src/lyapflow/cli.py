@@ -153,8 +153,9 @@ class Problem:
 
     def certificate(self, noise) -> tuple:
         """(bound, None) or (None, reason) for a run under `noise` (or none)."""
-        return certify(self.E0, self.gains, self.gamma, self.loss, self.law, noise,
-                       epoch=isinstance(self.mode, EpochFlow))
+        epoch = isinstance(self.mode, EpochFlow)
+        return certify(self.E0, self.gains, self.gamma, self.loss, self.law, noise, epoch,
+                       None if epoch else self.mode.y_star, self.stop.epsilon)
 
 
 def resolve(cfg: dict, args) -> Problem:

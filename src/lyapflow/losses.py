@@ -24,17 +24,18 @@ __all__ = [
 ]
 
 
-def sgnpow(v, p):
+def sgnpow(v, p, out=None):
     """Signed power map sign(v) * |v|**p, elementwise.
 
     Non-Lipschitz at the origin for p < 1.  sgnpow(0, p) == 0 for every
     p >= 0, including p == 0 where the map reduces to plain sign().
-    Scalars in, scalar out; arrays in, array out.
+    Scalars in, scalar out; arrays in, array out: written into `out` if it
+    is given.
     """
     if p < 0:
         raise ValueError(f"sgnpow exponent must be >= 0, got {p}")
     v = np.asarray(v, dtype=float)
-    out = np.sign(v) * np.abs(v) ** p
+    out = np.multiply(np.sign(v), np.abs(v) ** p, out=out)
     return out if out.ndim else float(out)
 
 
@@ -105,9 +106,9 @@ class LyapunovLoss:
         p = self.alpha + 1.0
         return _total(np.abs(e) ** p) / p
 
-    def error_grad(self, e_bar):
-        """dE/de = sgnpow(e, alpha), elementwise."""
-        return sgnpow(e_bar, self.alpha)
+    def error_grad(self, e_bar, out=None):
+        """dE/de = sgnpow(e, alpha), elementwise, into `out` if it is given."""
+        return sgnpow(e_bar, self.alpha, out=out)
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,9 @@ class L1Loss:
         e = np.asarray(e_bar, dtype=float)
         return _total(np.abs(e))
 
-    def error_grad(self, e_bar):
-        e = np.asarray(e_bar, dtype=float)
-        out = np.sign(e)
-        return out if out.ndim else float(out)
+    def error_grad(self, e_bar, out=None):
+        g = np.sign(np.asarray(e_bar, dtype=float), out=out)
+        return g if g.ndim else float(g)
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,9 @@ class L2Loss:
         e = np.asarray(e_bar, dtype=float)
         return 0.5 * _total(e * e)
 
-    def error_grad(self, e_bar):
-        e = np.asarray(e_bar, dtype=float)
-        return e if e.ndim else float(e)
+    def error_grad(self, e_bar, out=None):
+        g = np.positive(np.asarray(e_bar, dtype=float), out=out)
+        return g if g.ndim else float(g)
 
 
 Loss = LyapunovLoss | L1Loss | L2Loss

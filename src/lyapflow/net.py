@@ -11,6 +11,11 @@ A stack of R runs keeps each layer as one (R, units_out, units_in + 1) array
 and ``loss_gradient`` carry that run axis through, and each run's products
 go through its own BLAS call, so a run rounds exactly as it would alone.
 
+A pass writes into the buffers of a ``ForwardTrace``: each hidden layer's
+activations go into a bias-appended buffer whose 1.0 column is written once,
+when the buffer is made, not on every pass.  An integration holds one trace
+per active set; a call without one fills fresh buffers by the same code.
+
 Pre-activations are clamped to +/-30 before any exponential is taken, both
 in the sigmoid and in the control laws that use its reciprocal slope.
 
@@ -24,7 +29,7 @@ errors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,15 +49,25 @@ __all__ = [
 
 PREACT_CLAMP = 30.0
 
+# The constants of the sigmoid and its slope as read-only 0-d arrays: numpy
+# takes one as an operand faster than it converts a Python float, and the
+# values, so the results, are the same
+_LOW, _HIGH, _ONE = (np.array(v) for v in (-PREACT_CLAMP, PREACT_CLAMP, 1.0))
+for _c in (_LOW, _HIGH, _ONE):
+    _c.flags.writeable = False
+
 # Per-layer pre-activation sensitivities, one vector per weight layer.
 Deltas = list
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
+def _sigmoid(a: np.ndarray, out=None) -> np.ndarray:
+    """1 / (1 + exp(-clamp(a))) with a clamped to +/-PREACT_CLAMP, divided
+    into `out` if it is given (such as the columns of a bias-appended
+    buffer).  exp runs on a fresh contiguous array, rounding alike on every path."""
     # np.minimum/np.maximum clamp exactly like np.clip, NaN included, at a
     # fraction of its per-call cost on the short vectors of the control laws
-    z = np.minimum(np.maximum(a, -PREACT_CLAMP), PREACT_CLAMP)
-    return 1.0 / (1.0 + np.exp(-z))
+    z = np.minimum(np.maximum(a, _LOW), _HIGH)
+    return np.divide(_ONE, _ONE + np.exp(-z), out=out)
 
 
 class Activation(enum.Enum):
@@ -68,7 +83,7 @@ class Activation(enum.Enum):
         """Slope with respect to the pre-activation a, from the activation's
         output s = apply(a); sigma*(1-sigma) in (0, 0.25] for the sigmoid."""
         if self is Activation.SIGMOID:
-            return s * (1.0 - s)
+            return s * (_ONE - s)
         return np.ones_like(s)
 
 
@@ -141,18 +156,41 @@ class Mlp:
 
 @dataclass
 class ForwardTrace:
-    """Everything the control laws need from one forward pass.
+    """Everything the control laws need from one forward pass, in buffers
+    that serve every pass and back-propagation of one net and run count.
 
     acts[l] is the activation vector feeding weight layer l, with the bias
-    entry 1.0 appended; acts[0] is the input itself.  preacts[l] is the raw
-    affine output of weight layer l, feeding its nonlinearity.  y is the
-    network output (no bias entry).  For a stack of runs each of these has
-    a leading run axis, except acts[0] when every run shares one input.
+    entry 1.0 appended; acts[0] is the input itself, and every later one is
+    a buffer whose bias column is written once, when the buffer is made.
+    preacts[l] is the raw affine output of weight layer l, feeding its
+    nonlinearity, and outs[l] that nonlinearity's output: a view of
+    acts[l + 1] without its bias column, or y for the last layer.  y is the
+    network output (no bias entry), preacts[-1] itself for an identity
+    output.  deltas[l] receives layer l's sensitivities (``sensitivities``).
+    For a stack of runs each of these has a leading run axis, except acts[0]
+    when every run shares one input.
     """
 
-    preacts: list = field(default_factory=list)
-    acts: list = field(default_factory=list)
-    y: np.ndarray = None
+    preacts: list
+    acts: list
+    outs: list
+    deltas: list
+    y: np.ndarray
+
+    @classmethod
+    def empty(cls, mlp: "Mlp", lead: tuple = ()) -> "ForwardTrace":
+        """Buffers for passes of `mlp` over the leading (run) shape `lead`."""
+        sizes = [w.shape[-2] for w in mlp.weights]
+        acts = [None]
+        for units in sizes[:-1]:
+            z = np.empty(lead + (units + 1,))
+            z[..., -1] = 1.0
+            acts.append(z)
+        preacts = [np.empty(lead + (units,)) for units in sizes]
+        last = preacts[-1] if mlp.activations[-1] is Activation.IDENTITY else np.empty(
+            lead + (sizes[-1],))
+        return cls(preacts, acts, [z[..., :-1] for z in acts[1:]] + [last],
+                   [np.empty(lead + (units,)) for units in sizes], last)
 
 
 def _with_bias(v: np.ndarray) -> np.ndarray:
@@ -200,27 +238,40 @@ class Sample:
         return self._direction
 
 
-def forward(mlp: Mlp, x) -> ForwardTrace:
+def forward(mlp: Mlp, x, trace: ForwardTrace | None = None) -> ForwardTrace:
     """One forward pass; x is one sample (n,) or one sample per run (R, n).
 
     With stacked weights a single sample (n,) is shared by every run.  x may
     be a Sample, whose checks and bias column are then reused as they are.
+    The pass is written into `trace`, buffers held for this net and run
+    count (``ForwardTrace.empty``), and returns it; without one it fills
+    fresh buffers.
     """
     sample = x if isinstance(x, Sample) else Sample(x, mlp.n_inputs)
-    acts, preacts, y = [], [], None
-    for w, act in zip(mlp.weights, mlp.activations):
-        z = sample.z if y is None else _with_bias(y)
-        acts.append(z)
+    if trace is None:
+        trace = ForwardTrace.empty(
+            mlp, np.broadcast_shapes(mlp.weights[0].shape[:-2], sample.z.shape[:-1]))
+    z = trace.acts[0] = sample.z
+    for l, (w, act) in enumerate(zip(mlp.weights, mlp.activations)):
+        a, s = trace.preacts[l], trace.outs[l]
         # one matrix-vector BLAS call per run; per-run inputs need a trailing
         # unit axis to pair each run's weights with its own input
-        a = w @ z if z.ndim == 1 else (w @ z[..., None])[..., 0]
-        preacts.append(a)
-        y = act.apply(a)
-    return ForwardTrace(preacts, acts, y)
+        if z.ndim == 1:
+            np.matmul(w, z, out=a)
+        else:
+            np.matmul(w, z[..., None], out=a[..., None])
+        if act is Activation.SIGMOID:
+            _sigmoid(a, out=s)
+        elif s is not a:
+            np.copyto(s, a)
+        if l + 1 < len(trace.acts):
+            z = trace.acts[l + 1]
+    return trace
 
 
 def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss, e=None) -> Deltas:
-    """Per-layer pre-activation sensitivities of the loss.
+    """Per-layer pre-activation sensitivities of the loss, written into
+    trace.deltas, which is returned.
 
     Output layer: delta = act'(a) * dE/de evaluated at e = y - y_star.
     Hidden layer l: delta_l = act'(a_l) * (W_{l+1} without its bias column)^T
@@ -238,19 +289,31 @@ def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss, e=None) -> Deltas
             raise ShapeError(
                 f"expected target of shape ({mlp.n_outputs},), got {y_star.shape}")
         e = trace.y - y_star
-    grad = np.asarray(loss.error_grad(e), dtype=float)
-    deltas = [None] * mlp.n_layers
-    deltas[-1] = _times_slope(mlp.activations[-1], trace.y, grad)
+    deltas, acts = trace.deltas, mlp.activations
+    # an identity layer's sensitivities go straight into its delta, a
+    # sigmoid layer's into its delta times the slope
+    _times_slope(acts[-1], trace.y,
+                 loss.error_grad(e, out=_before_slope(acts[-1], deltas[-1])), deltas[-1])
     for l in range(mlp.n_layers - 2, -1, -1):
-        w_t, d = np.swapaxes(mlp.weights[l + 1][..., :-1], -1, -2), deltas[l + 1]
-        back = w_t @ d if d.ndim == 1 else (w_t @ d[..., None])[..., 0]
-        deltas[l] = _times_slope(mlp.activations[l], trace.acts[l + 1][..., :-1], back)
+        w_t, d = mlp.weights[l + 1][..., :-1].swapaxes(-1, -2), deltas[l + 1]
+        into = _before_slope(acts[l], deltas[l])
+        back = (np.matmul(w_t, d, out=into) if d.ndim == 1 else
+                np.matmul(w_t, d[..., None], out=None if into is None else into[..., None])[..., 0])
+        _times_slope(acts[l], trace.outs[l], back, deltas[l])
     return deltas
 
 
-def _times_slope(act: Activation, s, v):
-    """act's slope at output s times v; 1.0 * v is v to the bit."""
-    return v if act is Activation.IDENTITY else act.slope(s) * v
+def _before_slope(act: Activation, delta):
+    """Where a layer's sensitivities before its slope go: its delta for an
+    identity layer, whose slope of 1 is not multiplied in, else fresh."""
+    return delta if act is Activation.IDENTITY else None
+
+
+def _times_slope(act: Activation, s, v, out) -> None:
+    """out = act's slope at output s times v, for a sigmoid layer; an
+    identity layer's v is already out."""
+    if act is Activation.SIGMOID:
+        np.multiply(act.slope(s), v, out=out)
 
 
 def loss_gradient(deltas: Deltas, trace: ForwardTrace, out=None) -> list:

@@ -96,5 +96,6 @@ def robustness_run(mlp, mode, spec: PerturbationSpec, gains, loss, integ, stop,
     if gamma is None:
         gamma = estimate_gamma(mode.dataset if epoch else mode.x)
     law = select_law(mlp, isinstance(loss, LyapunovLoss))
-    bound = certify(E0, gains, gamma, loss, law, spec, epoch)[0]
+    bound = certify(E0, gains, gamma, loss, law, spec, epoch,
+                    None if epoch else mode.y_star, stop.epsilon)[0]
     return integrate(mlp, mode, loss, gains, integ, stop, noise=spec), bound

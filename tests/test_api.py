@@ -10,8 +10,13 @@ short; the call-count checks below catch that.
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import lyapflow
 from lyapflow import dynamics
@@ -46,6 +51,19 @@ def test_every_name_the_demos_import_resolves():
                     assert hasattr(module, alias.name), f"{demo.name}: {node.module}.{alias.name}"
                     checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("demo", ["deep_net_decrease.py", "loss_race.py"])
+def test_the_demos_of_the_layered_and_gradient_flow_laws_run(tmp_path, demo):
+    # these two run the back-propagation path end to end; each writes its
+    # plot under demo_out/ in the directory it is run from
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert list((tmp_path / "demo_out").glob("*.svg"))
 
 
 def test_the_readme_quick_start_runs_and_settles_inside_its_certificate():

@@ -693,6 +693,31 @@ def test_perturb_sweep_reports_the_lowest_diverging_level(tmp_path, capsys):
 
 # a one-input neuron whose noisy level chatters outside its settle band: w
 # reaches about -24, so a redraw moves e by up to about 0.04 against b = 5e-4
+@pytest.mark.parametrize("y_star, lands", [
+    ("1.0005", False), ("-0.0001", False), ("1.3", False), ("0.0", True), ("1.0", True)])
+def test_a_target_gets_a_certificate_only_where_the_unit_can_land(tmp_path, y_star, lands):
+    # the run lands at y* + sign(e0) b/2, b = 6.9e-6 its settle band: past 1
+    # or below 0 no output reaches it.  Such a run printed bound.T = 0.62,
+    # ended unsettled with bound.kept = false and exited 1; targets 0 and 1
+    # land at b/2 and 1 - b/2 and settle at 0.222, inside T
+    text = README_BARE.replace("mode.y_star = 0.48", f"mode.y_star = {y_star}")
+    cfg = _write(tmp_path, text + "bound.gamma = 1\ninteg.t_max = 1.0\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    kv = _summary(tmp_path / "out")
+    if lands:
+        assert kv["bound.kept"] == "true" and float(kv["settled_at"]) < float(kv["bound.T"])
+        return
+    assert kv["bound"].startswith(f"none (no certificate for target {float(y_star)!r}: "
+                                  "the run would land at output ")
+    assert "bound.kept" not in kv and kv["settled"] == "false"
+    # a sweep refuses its rows for the same reason, and exits 0
+    sweep = _write(tmp_path, text + "bound.gamma = 1\ninteg.t_max = 1.0\n"
+                   "sweep.m_values = 0, 0.3\n", "s.kv")
+    assert main(["perturb-sweep", "--config", sweep, "--out", str(tmp_path / "s")]) == 0
+    kv = _summary(tmp_path / "s")
+    assert kv["row0.certified"] == kv["row1.certified"] == "false"
+
+
 BROKEN_SWEEP = (
     "net.layers = 1, 1\nnet.init = zeros\nloss.alpha = 0.6513769671338443\n"
     "gains.k = 1.1245103986668186\nstop.epsilon = 2.2776021573951867e-06\n"

@@ -43,6 +43,7 @@ from lyapflow.dynamics import _buffer, _Law, integrate_batch
 
 ALPHA = 0.7
 BETA = ALPHA / (ALPHA + 1.0)
+COMPARE = [LyapunovLoss.multilayer(ALPHA), L1Loss(), L2Loss()]  # a compare's rows
 
 
 def _reference_problem():
@@ -106,7 +107,10 @@ def test_settle_detection_on_reference_problem():
     k=st.floats(0.1, 10.0),
     x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5).filter(
         lambda v: max(abs(u) for u in v) > 1e-3),
-    y_star=st.floats(0.05, 0.95).filter(lambda y: abs(y - 0.5) > 1e-3),
+    # exactly 0 and 1 land inside the unit's outputs; just past them the
+    # landing point is out of its reach, and certify refuses
+    y_star=st.one_of(st.sampled_from([0.0, 1.0, -1e-4, 1.0005]),
+                     st.floats(-0.05, 1.05).filter(lambda y: abs(y - 0.5) > 1e-3)),
     m_share=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
     scale=st.one_of(st.just(0.0), st.floats(0.5, 2.0)),
 )
@@ -125,7 +129,8 @@ def test_a_certified_single_neuron_run_settles_by_its_certificate(alpha, log_eps
     noise = PerturbationSpec("vanishing", M, alpha, seed=1) if M > 0 else None
     e0 = float(forward(mlp, x).y[0]) - y_star
     E0 = loss.evaluate(np.array([e0]))
-    bound = certify(E0, gains, estimate_gamma(x), loss, "single_neuron", noise)[0]
+    bound = certify(E0, gains, estimate_gamma(x), loss, "single_neuron", noise,
+                    y_star=[y_star], epsilon=epsilon)[0]
     if bound is None:
         return
     b = ((alpha + 1) * epsilon) ** (1 / (alpha + 1))
@@ -490,6 +495,33 @@ def test_law_rates_are_bitwise_the_eval_signal(sizes, out_act, loss, kind):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("sizes,out_act,losses", [
+    ((4, 1), Activation.SIGMOID, [LyapunovLoss.single_neuron(ALPHA)]),
+    ((4, 8, 1), Activation.IDENTITY, [LyapunovLoss.multilayer(ALPHA)]),
+    ((4, 8, 1), Activation.IDENTITY, COMPARE),
+    ((4, 8, 2), Activation.SIGMOID, [LyapunovLoss.multilayer(0.5), L2Loss()]),
+])
+def test_an_evaluation_keeps_its_results_through_the_next(sizes, out_act, losses):
+    # the law works in buffers held per active set; E, the errors and the
+    # signal it returns are its own, untouched by the next evaluation at
+    # other weights (RK4 keeps every stage's signal, records read them)
+    rng = np.random.default_rng(len(losses))
+    mlp = Mlp.random(sizes, seed=2, output_activation=out_act)
+    law = _Law(mlp, losses, GainSchedule.uniform(1.0))
+    x, y_star = Sample(rng.uniform(-1.0, 1.0, sizes[0]), sizes[0]), np.full(sizes[-1], 0.3)
+    states = []
+    for _ in range(2):
+        state, weights = _buffer(law.shapes, len(losses), len(losses) > 1)
+        for w in weights:
+            w[...] = rng.uniform(-2.0, 2.0, w.shape)
+        states.append(weights)
+    first = law.eval(states[0], x, y_star)
+    kept = [np.array(r).tobytes() for r in first]
+    second = law.eval(states[1], x, y_star)
+    assert [np.array(r).tobytes() for r in first] == kept
+    assert all(np.array(a).tobytes() != np.array(b).tobytes() for a, b in zip(first, second))
+
+
 def _per_layer_run(mlp, x, y_star, loss, gains, integ, stop) -> dict:
     """One run stepped layer by layer with the public net and control calls,
     each weight layer its own array: what integrate_batch's flat state must
@@ -537,20 +569,29 @@ def _per_layer_run(mlp, x, y_star, loss, gains, integ, stop) -> dict:
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
-@pytest.mark.parametrize("sizes,seed", [((4, 8, 1), 3), ((4, 8, 8, 1), 5)])
-def test_the_flat_state_steps_like_a_per_layer_loop(sizes, seed, method):
-    # the compare stack; near its target, the rows settle at different
-    # times, and the rows that keep stepping reuse the buffers the
-    # settled row's final weights were copied from
-    mlp = Mlp.random(sizes, seed=seed, output_activation=Activation.IDENTITY)
+@pytest.mark.parametrize("sizes,seed,out_act,losses,offset,first", [
+    pytest.param((4, 8, 1), 3, Activation.IDENTITY, COMPARE, 0.05, 2, id="sizes0-3"),
+    pytest.param((4, 8, 8, 1), 5, Activation.IDENTITY, COMPARE, 0.05, 2, id="sizes1-5"),
+    pytest.param((4, 8, 2), 4, Activation.SIGMOID, COMPARE, 0.01, 2, id="sigmoid-4-8-2"),
+    pytest.param((4, 8, 1), 3, Activation.IDENTITY,
+                 [LyapunovLoss.multilayer(ALPHA), LyapunovLoss.multilayer(0.4)], 0.05, 1,
+                 id="two-alphas"),
+])
+def test_the_flat_state_steps_like_a_per_layer_loop(sizes, seed, out_act, losses, offset,
+                                                      first, method):
+    # near its target, row `first` of the stack settles before every other
+    # row, so the rows that keep stepping reuse the buffers the settled
+    # row's final weights were copied from, and the law's held buffers are
+    # made again for the rows left
+    mlp = Mlp.random(sizes, seed=seed, output_activation=out_act)
     x = np.array([0.5, -0.3, 0.8, 0.1])
-    y_star = forward(mlp, x).y + 0.05
-    losses = [LyapunovLoss.multilayer(ALPHA), L1Loss(), L2Loss()]
+    y_star = forward(mlp, x).y + offset
     gains, stop = GainSchedule.uniform(1.0), StoppingRule(1e-4)
     integ = Integrator(method, dt=1e-2, t_max=1.0, record_stride=7)
     trajs = integrate_batch(mlp, TheoryFlow(x, y_star), losses, gains, integ, stop)
     settled = [traj.settled_at for traj in trajs]
-    assert settled[2] is not None and min(s or 2.0 for s in settled[:2]) > settled[2]
+    others = settled[:first] + settled[first + 1:]
+    assert settled[first] is not None and min(s or 2.0 for s in others) > settled[first]
     for loss, traj in zip(losses, trajs):
         want = _per_layer_run(mlp, x, y_star, loss, gains, integ, stop)
         assert traj.settled_at == want["settled_at"]
