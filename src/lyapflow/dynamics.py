@@ -5,8 +5,10 @@ Two run modes:
 * ``TheoryFlow`` -- one fixed (x, y*) pair; the weight state follows the
   run's law exactly, so the settling-time certificates apply.
 * ``EpochFlow`` -- per-sample Euler steps cycling a dataset in order; the
-  loss is recorded once per epoch as the dataset-summed value.  This is the
-  engineering analogue of discrete training; no certificate covers it, and
+  loss is recorded once per epoch as the dataset-summed value, from one
+  ``net.forward`` over every row (``dataset_loss``, which also gives E0),
+  the same arithmetic as the per-sample steps.  This is the engineering
+  analogue of discrete training; no certificate covers it, and
   ``bounds.certify`` marks the one it prints heuristic.
 
 One loop integrates both modes for a stack of R runs that differ only in
@@ -54,6 +56,7 @@ and returns the final weights inside the Trajectory.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -187,16 +190,14 @@ class Trajectory:
 
 
 def dataset_loss(mlp: Mlp, dataset, loss) -> tuple:
-    """(summed loss over the dataset, mean |error| per output), batched.
-
-    With stacked weights (R, out, in+1) it is one pass for all R runs and
-    returns one summed loss and one row of mean |error| per run, each
-    bitwise what the run's own weights give alone.
-    """
-    z = dataset.inputs
-    for w, act in zip(mlp.weights, mlp.activations):
-        z = act.apply(z @ np.swapaxes(w[..., :-1], -1, -2) + w[..., -1][..., None, :])
-    errs = z - dataset.targets
+    """(summed loss over the dataset, mean |error| per output), from one
+    ``net.forward`` over every row, passed as one Sample.  Each layer gets a
+    unit row axis (on a shallow copy of the net), so every run of a stack
+    (R, out, in+1) meets every row in its own matrix-vector product, as in
+    a per-sample pass; each run's result is bitwise the run's alone."""
+    net = copy.copy(mlp)
+    net.weights = [w[..., None, :, :] for w in mlp.weights]
+    errs = forward(net, Sample(dataset.inputs, mlp.n_inputs)).y - dataset.targets
     return loss.evaluate(errs), np.mean(np.abs(errs), axis=-2)
 
 

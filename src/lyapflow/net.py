@@ -10,6 +10,8 @@ A stack of R runs keeps each layer as one (R, units_out, units_in + 1) array
 (in an integration, a view of one flat state); ``forward``, ``sensitivities``
 and ``loss_gradient`` carry that run axis through, and each run's products
 go through its own BLAS call, so a run rounds exactly as it would alone.
+The one ``forward`` also serves a dataset's rows (``dynamics.dataset_loss``),
+so epoch mode's checkpoints and E0 round exactly as per-sample passes.
 
 A pass writes into the buffers of a ``ForwardTrace``: each hidden layer's
 activations go into a bias-appended buffer whose 1.0 column is written once,
@@ -73,18 +75,6 @@ def _sigmoid(a: np.ndarray, out=None) -> np.ndarray:
 class Activation(enum.Enum):
     SIGMOID = "sigmoid"
     IDENTITY = "identity"
-
-    def apply(self, a):
-        if self is Activation.SIGMOID:
-            return _sigmoid(np.asarray(a, dtype=float))
-        return np.asarray(a, dtype=float)
-
-    def slope(self, s):
-        """Slope with respect to the pre-activation a, from the activation's
-        output s = apply(a); sigma*(1-sigma) in (0, 0.25] for the sigmoid."""
-        if self is Activation.SIGMOID:
-            return s * (_ONE - s)
-        return np.ones_like(s)
 
 
 @dataclass
@@ -202,7 +192,7 @@ def _with_bias(v: np.ndarray) -> np.ndarray:
 
 
 class Sample:
-    """A checked network input: one sample (n,) or one sample per run (R, n).
+    """A checked network input: one sample (n,), or one per run or row (R, n).
 
     ``x`` is the input as floats and ``z`` the same input with the bias
     entry appended (read-only: every forward pass on the Sample shares it as
@@ -310,10 +300,10 @@ def _before_slope(act: Activation, delta):
 
 
 def _times_slope(act: Activation, s, v, out) -> None:
-    """out = act's slope at output s times v, for a sigmoid layer; an
-    identity layer's v is already out."""
+    """out = act's slope at output s times v, for a sigmoid layer, whose
+    slope is s (1 - s) in (0, 0.25]; an identity layer's v is already out."""
     if act is Activation.SIGMOID:
-        np.multiply(act.slope(s), v, out=out)
+        np.multiply(s * (_ONE - s), v, out=out)
 
 
 def loss_gradient(deltas: Deltas, trace: ForwardTrace, out=None) -> list:

@@ -131,9 +131,9 @@ def test_traced_epoch_sweep_sees_every_law_evaluation(tmp_path):
     epochs = EPOCHS
     # one stacked evaluation per sample step serves both levels
     assert calls["control.single_neuron_update"] == epochs * 6
-    assert calls["net.forward"] == epochs * 6
     # one stacked dataset pass per epoch checkpoint, beside the resolver's E0,
-    # which every level's certificate shares
+    # which every level's certificate shares; each pass is one net.forward
+    assert calls["net.forward"] == epochs * 6 + (epochs + 1) + 1
     assert calls["dynamics.dataset_loss"] == (epochs + 1) + 1
 
 

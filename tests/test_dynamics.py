@@ -318,23 +318,38 @@ def test_epoch_mode_decreases_blob_loss():
                      integ, StoppingRule(1e-12))
     assert traj.E[-1] < 0.1 * traj.E[0]
     assert traj.errors.shape[1] == 1
-    # per-epoch loss agrees with an explicit per-sample sum at the start
-    work = mlp.copy()
-    by_hand = sum(loss.evaluate(forward(work, x).y - y)
-                  for x, y in zip(data.inputs, data.targets))
-    assert traj.E[0] == pytest.approx(by_hand, rel=1e-12)
+    # at every epoch checkpoint, E is bit for bit the loss of the per-sample
+    # forward errors and each mean |error| their mean; a hand Euler replay
+    # gives each checkpoint's weights
+    work, gains = mlp.copy(), GainSchedule.uniform(1.0)
+    for E, mean_abs in zip(traj.E, traj.errors):
+        errs = np.array([forward(work, x).y - y for x, y in zip(data.inputs, data.targets)])
+        assert E == loss.evaluate(errs)
+        assert mean_abs.tobytes() == np.mean(np.abs(errs), axis=0).tobytes()
+        for x, y_star in zip(data.inputs, data.targets):
+            trace = forward(work, x)
+            u = single_neuron_update(x, (trace.y - y_star)[0], trace.preacts[0][0], gains,
+                                     rate_scale=lyapunov_rate_scale(0.7))
+            work.weights = [work.weights[0] + integ.dt * u[0]]
 
 
 def test_dataset_loss_matches_per_sample_loop():
-    data = gen_blobs(seed=4, per_class=7, separation=3.0)
-    mlp = Mlp.random((4, 1), seed=3)
-    for loss in (LyapunovLoss(alpha=0.6), L2Loss()):
-        total, mean_abs = dataset_loss(mlp, data, loss)
-        errs = np.array([forward(mlp, x).y - y
-                         for x, y in zip(data.inputs, data.targets)])
-        assert total == pytest.approx(
-            sum(loss.evaluate(e) for e in errs), rel=1e-12)
-        assert mean_abs[0] == pytest.approx(float(np.mean(np.abs(errs))), rel=1e-12)
+    # the dataset pass is the per-sample forward pass: E is the loss of the
+    # stacked per-sample errors and the mean |error| their mean, bit for bit
+    for sizes, out_act in (((4, 1), Activation.SIGMOID), ((4, 8, 1), Activation.IDENTITY),
+                           ((3, 5, 2), Activation.SIGMOID)):
+        rng = np.random.default_rng(sum(sizes))
+        for rows in (1, 40):
+            data = Dataset(rng.normal(0.0, 2.0, (rows, sizes[0])),
+                           rng.uniform(0.0, 1.0, (rows, sizes[-1])))
+            for seed in range(4):
+                mlp = Mlp.random(sizes, seed=seed, output_activation=out_act, scale=2.0)
+                errs = np.array([forward(mlp, x).y - y
+                                 for x, y in zip(data.inputs, data.targets)])
+                for loss in (LyapunovLoss(alpha=0.6), L2Loss(), L1Loss()):
+                    total, mean_abs = dataset_loss(mlp, data, loss)
+                    assert total == loss.evaluate(errs)
+                    assert mean_abs.tobytes() == np.mean(np.abs(errs), axis=0).tobytes()
 
 
 @pytest.mark.parametrize("sizes", [(4, 1), (3, 5, 2), (2, 6, 4, 3)])

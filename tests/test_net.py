@@ -74,14 +74,32 @@ def test_bias_column_acts_like_constant_input():
     assert np.allclose(y1, y2, rtol=1e-15)
 
 
+def _clip_sigmoid(a):
+    """The clamped sigmoid as its plain np.clip formula."""
+    return 1.0 / (1.0 + np.exp(-np.clip(a, -PREACT_CLAMP, PREACT_CLAMP)))
+
+
+def _slope(act, a):
+    """act's slope at the pre-activation a, from the np.clip formula."""
+    if act is Activation.IDENTITY:
+        return np.ones_like(a)
+    s = _clip_sigmoid(a)
+    return s * (1.0 - s)
+
+
 def test_identity_output_and_derivatives():
     mlp = Mlp([np.array([[2.0, -1.0]])], (Activation.IDENTITY,))
     trace = forward(mlp, np.array([3.0]))
     assert trace.y[0] == pytest.approx(5.0)
-    identity, sigmoid = Activation.IDENTITY, Activation.SIGMOID
-    assert np.all(identity.slope(identity.apply(np.array([-5.0, 40.0]))) == 1.0)
-    d = sigmoid.slope(sigmoid.apply(np.array([0.0])))
-    assert d[0] == pytest.approx(0.25)
+    # an identity output's slope is 1: its sensitivity is dE/de itself
+    loss = L2Loss()
+    delta = sensitivities(mlp, trace, np.array([1.0]), loss)[-1]
+    assert delta.tobytes() == loss.error_grad(trace.y - 1.0).tobytes()
+    # a sigmoid unit at pre-activation 0 has slope 0.25
+    sig = Mlp([np.array([[0.0, 0.0]])], (Activation.SIGMOID,))
+    trace = forward(sig, np.array([3.0]))
+    assert trace.y[0] == 0.5
+    assert sensitivities(sig, trace, np.array([0.0]), loss)[-1][0] == 0.25 * 0.5
 
 
 def test_preact_clamp_keeps_sigmoid_finite():
@@ -90,8 +108,10 @@ def test_preact_clamp_keeps_sigmoid_finite():
     assert trace.y[0] == pytest.approx(1.0 / (1.0 + math.exp(-PREACT_CLAMP)))
     # raw pre-activation is stored unclamped
     assert trace.preacts[0][0] == 1000.0
-    d = Activation.SIGMOID.slope(Activation.SIGMOID.apply(np.array([1000.0])))
-    assert np.isfinite(d[0]) and d[0] > 0.0
+    # the slope is the clamped one: finite and positive, not 0
+    delta = sensitivities(mlp, trace, np.array([0.0]), L2Loss())[-1]
+    assert np.isfinite(delta[0]) and delta[0] > 0.0
+    assert delta.tobytes() == (_slope(Activation.SIGMOID, np.array([1000.0])) * trace.y).tobytes()
 
 
 def test_sigmoid_is_bitwise_the_np_clip_form():
@@ -99,9 +119,7 @@ def test_sigmoid_is_bitwise_the_np_clip_form():
                       0.5, 29.999, 30.0, 31.0, np.inf, np.nan])
     rng = np.random.default_rng(0)
     for a in (edges, rng.normal(0.0, 20.0, 500), np.array([-0.0]), np.array([np.nan])):
-        ref = 1.0 / (1.0 + np.exp(-np.clip(a, -PREACT_CLAMP, PREACT_CLAMP)))
-        got = _sigmoid(a)
-        assert got.tobytes() == ref.tobytes()
+        assert _sigmoid(a).tobytes() == _clip_sigmoid(a).tobytes()
 
 
 @pytest.mark.parametrize("sizes,out_act", [
@@ -227,10 +245,10 @@ def test_sensitivities_reuse_forward_activations_bitwise(sizes, out_act):
             grad = loss.error_grad(trace.y - y_star)
             acts, a = mlp.activations, trace.preacts
             expected = [None] * mlp.n_layers
-            expected[-1] = acts[-1].slope(acts[-1].apply(a[-1])) * grad
+            expected[-1] = _slope(acts[-1], a[-1]) * grad
             for l in range(mlp.n_layers - 2, -1, -1):
                 back = mlp.weights[l + 1][:, :-1].T @ expected[l + 1]
-                expected[l] = acts[l].slope(acts[l].apply(a[l])) * back
+                expected[l] = _slope(acts[l], a[l]) * back
             got = sensitivities(mlp, trace, y_star, loss)
             assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
 

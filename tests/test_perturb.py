@@ -321,7 +321,7 @@ def _plain_inputs():
     re-appends its bias entry and takes its sign, and sensitivities derives
     the error from y* again."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "forward", lambda mlp, x, trace: net.forward(mlp, x.x))
+        mp.setattr(dynamics, "forward", lambda mlp, x, trace=None: net.forward(mlp, x.x))
         mp.setattr(dynamics, "single_neuron_update",
                    lambda x, *args, **kw: control.single_neuron_update(x.x, *args, **kw))
         mp.setattr(dynamics, "sensitivities",
