@@ -14,7 +14,9 @@ single-neuron law is proven to obey it, in two flavors, with beta = a/(a+1):
 gamma is the excitation level: some input entry of every sample exceeds it.
 It is the user's value or the data minimum, never the frozen bias entry.
 
-``certify`` is the one certificate policy: it decides whether a run gets a
+``Problem`` decides a certificate's inputs, once per run: the law the net
+and the loss give, gamma and E0, the loss at the initial weights on the
+clean rows.  ``certify`` decides its policy: whether a run gets a
 certificate and of which flavor, from the run's law and its noise, and it
 alone marks an epoch-mode certificate ``heuristic``.  The layered law gets
 none: its rate bound fails near the settle, where |e|**alpha vanishes.
@@ -23,14 +25,15 @@ none: its rate bound fails near the settle, where |e|**alpha vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .control import GainSchedule
+from .dynamics import EpochFlow, Integrator, StoppingRule, dataset_loss, select_law
 from .errors import AssumptionError, GuaranteeError, LyapflowError
 from .losses import LyapunovLoss
-from .net import PREACT_CLAMP
+from .net import PREACT_CLAMP, Mlp
 
 __all__ = [
     "GammaEstimate",
@@ -178,6 +181,41 @@ def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
                        heuristic=epoch), None
     except (LyapflowError, ValueError) as exc:
         return None, str(exc)
+
+
+@dataclass
+class Problem:
+    """A run and its certificate inputs, decided once: the law the net and
+    the loss give, gamma (the given estimate, else the data minimum of the
+    clean rows, else the error that stopped that estimate) and E0, the loss
+    at the initial weights on the clean rows."""
+
+    mlp: Mlp
+    loss: object
+    mode: object        # dynamics.TheoryFlow | dynamics.EpochFlow
+    gains: GainSchedule
+    stop: StoppingRule
+    noise: object = None        # PerturbationSpec | None
+    gamma: object = None        # GammaEstimate | None | the error of its estimate
+    integ: Integrator = None    # the time step, which cli.resolve decides
+    law: str = field(init=False)
+    E0: float = field(init=False)
+
+    def __post_init__(self):
+        self.law = select_law(self.mlp, isinstance(self.loss, LyapunovLoss))
+        data = self.mode.dataset
+        if self.gamma is None:
+            try:
+                self.gamma = estimate_gamma(data)
+            except AssumptionError as exc:
+                self.gamma = exc
+        self.E0 = dataset_loss(self.mlp, data, self.loss)[0]
+
+    def certificate(self, noise) -> tuple:
+        """(bound, None) or (None, reason) for a run under `noise` (or none)."""
+        epoch = isinstance(self.mode, EpochFlow)
+        return certify(self.E0, self.gains, self.gamma, self.loss, self.law, noise, epoch,
+                       None if epoch else self.mode.y_star, self.stop.epsilon)
 
 
 def _landing_point(y_star: float, epsilon: float, alpha: float) -> float:

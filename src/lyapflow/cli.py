@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 run failure (divergence, refused certificate,
 a train run or perturb-sweep row that broke its certificate, failed check),
-2 bad configuration or usage.
+2 bad configuration or usage, a time step too small for the step budget
+and a horizon shorter than one epoch included.
 
 Artifacts land in --out (or run.out, or the working directory):
 trajectory.csv, summary.kv, loss_curve.svg, curves.dat.  trajectory.csv
@@ -23,13 +24,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets as ds_mod
-from .bounds import GammaEstimate, certify, estimate_gamma
+from .bounds import GammaEstimate, Problem
 from .config import load_config
 from .control import GainSchedule
 from .dynamics import (
@@ -37,12 +38,11 @@ from .dynamics import (
     Integrator,
     StoppingRule,
     TheoryFlow,
-    initial_loss,
     integrate,
     integrate_batch,
     select_law,
 )
-from .errors import AssumptionError, ConfigError, GuaranteeError, LyapflowError
+from .errors import ConfigError, GuaranteeError, HorizonError, LyapflowError
 from .losses import L1Loss, L2Loss, LyapunovLoss
 from .net import Activation, Mlp, forward, loss_gradient, sensitivities
 from .perturb import PerturbationSpec
@@ -136,56 +136,27 @@ def _build_spec(cfg: dict, M: float) -> PerturbationSpec:
     return PerturbationSpec(mode, M, alpha, cfg["run.seed"], cfg["perturb.redraw_every"])
 
 
-@dataclass
-class Problem:
-    """What a command runs, decided once from the config by ``resolve``."""
-
-    mlp: Mlp
-    law: str            # single_neuron | mlp | baseline
-    loss: object
-    mode: object        # TheoryFlow | EpochFlow
-    gains: GainSchedule
-    stop: StoppingRule
-    noise: object       # PerturbationSpec | None
-    gamma: object       # GammaEstimate, or the error that stopped its estimate
-    E0: float           # loss at the initial weights on the clean inputs
-    integ: Integrator = None  # set by resolve, for every command
-
-    def certificate(self, noise) -> tuple:
-        """(bound, None) or (None, reason) for a run under `noise` (or none)."""
-        epoch = isinstance(self.mode, EpochFlow)
-        return certify(self.E0, self.gains, self.gamma, self.loss, self.law, noise, epoch,
-                       None if epoch else self.mode.y_star, self.stop.epsilon)
-
-
 def resolve(cfg: dict, args) -> Problem:
-    """The one place that decides a run's law, certificate inputs, noise and
-    time step."""
+    """The one place that decides a run's law, noise and time step; the
+    ``Problem`` it builds decides the certificate's inputs."""
     dataset = _build_dataset(cfg)
     mlp = _build_net(cfg)
     law = select_law(mlp, cfg["loss.kind"] == "lyapunov")
     if cfg["loss.beta"] is not None and law != "mlp":
         raise ConfigError([f"loss.beta applies to the layered law only; this run "
                            f"follows the {law} law"])
-    loss = _build_loss(cfg, law, args.unsafe_alpha)
-    mode = _build_mode(cfg, dataset)
-    inputs = mode.dataset.inputs if isinstance(mode, EpochFlow) else mode.x
-    try:
-        gamma = (GammaEstimate(cfg["bound.gamma"]) if cfg["bound.gamma"] is not None
-                 else estimate_gamma(inputs))
-    except (AssumptionError, ValueError) as exc:
-        gamma = exc
+    gamma = GammaEstimate(cfg["bound.gamma"]) if cfg["bound.gamma"] is not None else None
     noise = _build_spec(cfg, cfg["perturb.M"]) if cfg["perturb.mode"] else None
-    prob = Problem(mlp, law, loss, mode, GainSchedule.uniform(cfg["gains.k"]),
-                   StoppingRule(cfg["stop.epsilon"]), noise, gamma, initial_loss(mlp, mode, loss))
+    prob = Problem(mlp, _build_loss(cfg, law, args.unsafe_alpha), _build_mode(cfg, dataset),
+                   GainSchedule.uniform(cfg["gains.k"]), StoppingRule(cfg["stop.epsilon"]),
+                   noise, gamma)
     # one rule for every command: T/1e3 under the noise-free certificate,
     # else the 1e-3 fallback.  loss.alpha = 0 (an alpha-sweep's chatter
     # demo) has none; the first non-zero sweep level certifies instead
     sized = prob
     level = next((a for a in cfg["sweep.alphas"] if a > 0), None)
     if cfg["loss.alpha"] == 0 and level is not None:
-        level_loss = _build_loss(cfg, law, args.unsafe_alpha, alpha=level)
-        sized = replace(prob, loss=level_loss, E0=initial_loss(mlp, mode, level_loss))
+        sized = replace(prob, loss=_build_loss(cfg, law, args.unsafe_alpha, alpha=level))
     prob.integ = _build_integrator(cfg, sized.certificate(None)[0])
     return prob
 
@@ -228,7 +199,12 @@ def _kept(T: float, traj, dt: float) -> str:
     return "false" if traj.t[-1] >= T else "unknown"
 
 
-def _plot_series(out: Path, series, title: str) -> None:
+def _write_artifacts(out: Path, lines, runs, shown, title: str) -> None:
+    """summary.kv from `lines`, the run `shown` as trajectory.csv, and the
+    (label, trajectory) pairs `runs` as loss_curve.svg and curves.dat."""
+    _write_kv(out / "summary.kv", lines)
+    shown.to_csv(out / "trajectory.csv")
+    series = [(label, traj.t.tolist(), traj.E.tolist()) for label, traj in runs]
     positives = [y for _, _, ys in series for y in ys if y > 0]
     all_pos = all(y > 0 for _, _, ys in series for y in ys)
     log_y = bool(all_pos and positives and max(positives) / min(positives) > 1e3)
@@ -278,10 +254,7 @@ def _cmd_train(cfg: dict, args, out: Path) -> int:
         lines.append(f"bound = none ({refusal})")
     kept = None if bound is None else _kept(bound.T, traj, prob.integ.dt)
     lines += _traj_lines("", traj, kept)
-    _write_kv(out / "summary.kv", lines)
-    traj.to_csv(out / "trajectory.csv")
-    _plot_series(out, [(f"{loss.name} loss", traj.t.tolist(), traj.E.tolist())],
-                 title="training loss")
+    _write_artifacts(out, lines, [(f"{loss.name} loss", traj)], traj, "training loss")
 
     print(f"train: {traj.n_records()} records -> {out / 'trajectory.csv'}")
     if traj.settled_at is not None:
@@ -328,11 +301,7 @@ def _cmd_compare(cfg: dict, args, out: Path) -> int:
         lines.append(f"first_to_epsilon = {winner}")
     else:
         lines.append("first_to_epsilon = none")
-    _write_kv(out / "summary.kv", lines)
-
-    runs[0][1].to_csv(out / "trajectory.csv")
-    series = [(name, traj.t.tolist(), traj.E.tolist()) for name, traj in runs]
-    _plot_series(out, series, title="loss comparison")
+    _write_artifacts(out, lines, runs, runs[0][1], "loss comparison")
 
     for name, traj in runs:
         state = (f"settled at t = {traj.settled_at:.6g}"
@@ -376,7 +345,7 @@ def _cmd_perturb_sweep(cfg: dict, args, out: Path) -> int:
         f"k_min = {_num(prob.gains.k_min)}",
         f"levels = {len(levels)}",
     ]
-    series, broken = [], []
+    broken = []
     print(f"{'M':>10s} {'certified':>9s} {'T_bound':>12s} {'settled_at':>12s} "
           f"{'final_E':>12s} {'kept':>7s}")
     for i, (spec, (bnd, refusal), traj) in enumerate(zip(specs, certs, _delivered(trajs))):
@@ -394,16 +363,14 @@ def _cmd_perturb_sweep(cfg: dict, args, out: Path) -> int:
         if kept == "false":
             broken.append(f"{m:.6g}")
         lines += _traj_lines(p, traj, kept)
-        series.append((f"M={m:g}", traj.t.tolist(), traj.E.tolist()))
         # an epoch-mode certificate is flagged in the table as in summary.kv
         shown = "heuristic" if certified and bnd.heuristic else str(certified)
         print(f"{m:10.4g} {shown:>9s} "
               f"{(f'{bnd.T:.6g}' if certified else 'none'):>12s} "
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
               f"{traj.E[-1]:12.6g} {kept or 'none':>7s}")
-    _write_kv(out / "summary.kv", lines)
-    trajs[-1].to_csv(out / "trajectory.csv")  # the last level's run
-    _plot_series(out, series, title="settling under input noise")
+    runs = [(f"M={spec.M:g}", traj) for spec, traj in zip(specs, trajs)]
+    _write_artifacts(out, lines, runs, trajs[-1], "settling under input noise")
     if broken:
         raise GuaranteeError(f"the sweep broke its certificate at M = {', '.join(broken)}")
     return 0
@@ -429,7 +396,6 @@ def _cmd_alpha_sweep(cfg: dict, args, out: Path) -> int:
 
     lines = ["command = alpha-sweep", f"seed = {cfg['run.seed']}",
              f"dt = {_num(prob.integ.dt)}", f"levels = {len(alphas)}"]
-    series = []
     print(f"{'alpha':>7s} {'violations':>10s} {'settled_at':>12s} {'final_E':>12s}")
     for i, (a, traj) in enumerate(zip(alphas, _delivered(trajs))):
         p = f"row{i}."
@@ -437,13 +403,11 @@ def _cmd_alpha_sweep(cfg: dict, args, out: Path) -> int:
         lines += _traj_lines(p, traj)
         if a == 0.0:
             lines.append(f"{p}note = signum chatter demo; no settling certificate")
-        series.append((f"alpha={a:g}", traj.t.tolist(), traj.E.tolist()))
         print(f"{a:7.3g} {traj.monotone_violations():>10d} "
               f"{(f'{traj.settled_at:.6g}' if traj.settled_at is not None else 'none'):>12s} "
               f"{traj.E[-1]:12.6g}")
-    _write_kv(out / "summary.kv", lines)
-    trajs[-1].to_csv(out / "trajectory.csv")  # the last level's run
-    _plot_series(out, series, title="stability across alpha")
+    runs = [(f"alpha={a:g}", traj) for a, traj in zip(alphas, trajs)]
+    _write_artifacts(out, lines, runs, trajs[-1], "stability across alpha")
     return 0
 
 
@@ -466,10 +430,7 @@ def _cmd_gradcheck(cfg: dict, args, out: Path) -> int:
     """Backprop vs finite differences."""
     prob = resolve(cfg, args)
     mlp, loss = prob.mlp, prob.loss
-    if isinstance(prob.mode, TheoryFlow):
-        x, y_star = prob.mode.x, prob.mode.y_star
-    else:
-        x, y_star = prob.mode.dataset.sample(0)
+    x, y_star = prob.mode.dataset.sample(0)
 
     trace = forward(mlp, x)
     analytic = loss_gradient(sensitivities(mlp, trace, y_star, loss), trace)
@@ -541,7 +502,9 @@ def main(argv=None) -> int:
         cfg["run.out"] = args.out
     try:
         return _COMMANDS[args.command](cfg, args, Path(cfg["run.out"] or "."))
-    except ConfigError as exc:
+    # a HorizonError is raised before any step: t_max/dt exceeds the step
+    # budget or falls short of one epoch, which the config's values decide
+    except (ConfigError, HorizonError) as exc:
         print(f"error: bad config:\n{exc}", file=sys.stderr)
         return 2
     except LyapflowError as exc:

@@ -6,10 +6,13 @@ Two run modes:
   run's law exactly, so the settling-time certificates apply.
 * ``EpochFlow`` -- per-sample Euler steps cycling a dataset in order; the
   loss is recorded once per epoch as the dataset-summed value, from one
-  ``net.forward`` over every row (``dataset_loss``, which also gives E0),
-  the same arithmetic as the per-sample steps.  This is the engineering
-  analogue of discrete training; no certificate covers it, and
-  ``bounds.certify`` marks the one it prints heuristic.
+  ``net.forward`` over every row (``dataset_loss``), the same arithmetic as
+  the per-sample steps.  This is the engineering analogue of discrete
+  training; no certificate covers it, and ``bounds.certify`` marks the one
+  it prints heuristic.
+
+Both flows have a ``dataset``, a theory flow's being its sample as one row,
+so E0 is one ``dataset_loss`` pass in either mode (``bounds.Problem``).
 
 One loop integrates both modes for a stack of R runs that differ only in
 their input-noise level M (a perturb-sweep's levels) or in their loss (the
@@ -70,6 +73,7 @@ from .control import (
     signal_norm,
     single_neuron_update,
 )
+from .datasets import Dataset
 from .errors import DivergenceError, HorizonError, ModeError, ShapeError
 from .losses import LyapunovLoss
 from .net import (PREACT_CLAMP, Activation, ForwardTrace, Mlp, Sample, forward,
@@ -83,7 +87,6 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_batch",
-    "initial_loss",
     "select_law",
     "dataset_loss",
 ]
@@ -137,6 +140,12 @@ class TheoryFlow:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y_star", np.asarray(self.y_star, dtype=float))
+
+    @property
+    def dataset(self) -> Dataset:
+        """The sample as a one-row Dataset, built when read: a non-finite input
+        is refused by ``integrate_batch`` (ShapeError), not when the flow is made."""
+        return Dataset(self.x.reshape(1, -1), self.y_star.reshape(1, -1))
 
 
 @dataclass(frozen=True)
@@ -199,15 +208,6 @@ def dataset_loss(mlp: Mlp, dataset, loss) -> tuple:
     net.weights = [w[..., None, :, :] for w in mlp.weights]
     errs = forward(net, Sample(dataset.inputs, mlp.n_inputs)).y - dataset.targets
     return loss.evaluate(errs), np.mean(np.abs(errs), axis=-2)
-
-
-def initial_loss(mlp: Mlp, mode, loss) -> float:
-    """E at the network's weights on the flow's clean inputs (a certificate's E0)."""
-    if isinstance(mode, TheoryFlow):
-        return loss.evaluate(forward(mlp, mode.x).y - mode.y_star)
-    if isinstance(mode, EpochFlow):
-        return dataset_loss(mlp, mode.dataset, loss)[0]
-    raise ModeError(f"unknown train mode {type(mode).__name__}")
 
 
 def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
@@ -646,7 +646,8 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
     n_steps = math.ceil(integ.t_max / integ.dt - 1e-12)
     if n_steps > integ.step_budget:
         raise HorizonError(
-            f"t_max/dt = {n_steps} steps exceeds the budget of {integ.step_budget}"
+            f"t_max/dt = {integ.t_max!r}/{integ.dt!r} = {n_steps} steps exceeds "
+            f"the budget of {integ.step_budget}"
         )
     if not isinstance(loss, (list, tuple)):
         losses = [loss] * (1 if noises is None else len(noises))
@@ -684,7 +685,8 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
     last = n_steps // flow.span
     if last < 1:
         raise HorizonError(
-            f"t_max/dt = {n_steps} steps is less than one epoch of {flow.span} samples"
+            f"t_max/dt = {integ.t_max!r}/{integ.dt!r} = {n_steps} steps is less than "
+            f"one epoch of {flow.span} samples"
         )
 
     runs = _Runs(work.weights, len(losses), getattr(flow, "x", None), rule)

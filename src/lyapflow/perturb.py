@@ -31,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import GammaEstimate, certify, estimate_gamma
-from .dynamics import EpochFlow, initial_loss, integrate, select_law
-from .losses import LyapunovLoss
+from .bounds import GammaEstimate, Problem
+from .dynamics import integrate
 
 __all__ = ["PerturbationSpec", "robustness_run"]
 
@@ -87,15 +86,11 @@ def robustness_run(mlp, mode, spec: PerturbationSpec, gains, loss, integ, stop,
                    gamma: GammaEstimate | None = None):
     """(trajectory, bound) of one run under the input noise `spec`.
 
-    E0 is the loss at the initial weights on the *unperturbed* inputs, and
-    gamma is estimated from the data if None; ``certify`` certifies the run
-    or refuses it (bound None).  A failed run raises its error.
+    ``bounds.Problem`` decides the certificate's inputs as it does for the
+    CLI: E0 is the loss at the initial weights on the *unperturbed* inputs,
+    and gamma is the data minimum if None.  ``certify`` certifies the run
+    or refuses it (bound None); an all-zero sample is refused too, where
+    this helper once raised AssumptionError.  A failed run raises its error.
     """
-    E0 = initial_loss(mlp, mode, loss)
-    epoch = isinstance(mode, EpochFlow)
-    if gamma is None:
-        gamma = estimate_gamma(mode.dataset if epoch else mode.x)
-    law = select_law(mlp, isinstance(loss, LyapunovLoss))
-    bound = certify(E0, gains, gamma, loss, law, spec, epoch,
-                    None if epoch else mode.y_star, stop.epsilon)[0]
-    return integrate(mlp, mode, loss, gains, integ, stop, noise=spec), bound
+    traj = integrate(mlp, mode, loss, gains, integ, stop, noise=spec)
+    return traj, Problem(mlp, loss, mode, gains, stop, spec, gamma).certificate(spec)[0]

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,30 @@ def test_every_exported_name_resolves():
     for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _names_read(path: Path) -> set:
+    """Every name a Python file reads, as a name or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # public API that only tests use is deleted: each exported name is read
+    # somewhere besides its definition and its export, or the README names it
+    package = ROOT / "src" / "lyapflow"
+    files = [f for f in package.glob("*.py") if f.name != "__init__.py"]
+    files += sorted(DEMOS.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    used = set().union(*(_names_read(f) for f in files))
+    readme = (ROOT / "README.md").read_text()
+    unused = [name for name in lyapflow.__all__
+              if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)]
+    assert unused == []
 
 
 def test_every_name_the_demos_import_resolves():
@@ -116,6 +141,7 @@ def test_traced_train_sees_every_law_evaluation(tmp_path):
     evaluations = 4 * steps + 2
     assert calls["control.single_neuron_update"] == evaluations
     assert calls["net.forward"] == evaluations + 1  # and E0, for the certificate
+    assert calls["dynamics.dataset_loss"] == 1  # E0: the sample as a one-row dataset
 
 
 EPOCH_SWEEP = (

@@ -827,3 +827,32 @@ def test_a_refused_command_leaves_no_out_directory(tmp_path, capsys, command, te
     assert main([command, "--config", _write(tmp_path, text), "--out", str(out)]) == 2
     assert "error: bad config" in capsys.readouterr().err
     assert not (tmp_path / "nested").exists()
+
+
+# criterion 06's neuron: the CLI's own step, T/1e3, is 7.5e-9
+HUGE_INPUT = "net.layers = 2, 1\nnet.init = zeros\nmode.x = 50000, 50000\nmode.y_star = 0.2\n"
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("train", HUGE_INPUT,
+     "t_max/dt = 10.0/7.4652092018553e-09 = 1339547189 steps exceeds the budget of 10000000"),
+    ("compare", HUGE_INPUT + "integ.dt = 1e-9\n",
+     "t_max/dt = 10.0/1e-09 = 10000000000 steps exceeds the budget of 10000000"),
+    ("perturb-sweep", HUGE_INPUT + "sweep.m_values = 0, 0.5\n",
+     "t_max/dt = 10.0/7.4652092018553e-09 = 1339547189 steps exceeds the budget of 10000000"),
+    ("train", EPOCH_BLOBS + "integ.dt = 1e-3\ninteg.t_max = 0.005\n",
+     "t_max/dt = 0.005/0.001 = 5 steps is less than one epoch of 6 samples"),
+], ids=["train-own-dt", "compare", "perturb-sweep", "short-of-an-epoch"])
+def test_a_run_the_step_budget_cannot_hold_exits_2(tmp_path, capsys, command, text, message):
+    # these exited 1 as run failures; the config's dt and t_max are at
+    # fault, and the command fails before it writes anything
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bad config:\n{message}\n"
+    assert not out.exists()
+    # bound and gradcheck do not integrate, so they run (gradcheck's finite
+    # differences may fail at inputs of 5e4, which exits 1 as a failed check)
+    assert main(["bound", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["gradcheck", "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert _summary(out)["command"] == "gradcheck"

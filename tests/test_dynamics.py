@@ -350,6 +350,9 @@ def test_dataset_loss_matches_per_sample_loop():
                     total, mean_abs = dataset_loss(mlp, data, loss)
                     assert total == loss.evaluate(errs)
                     assert mean_abs.tobytes() == np.mean(np.abs(errs), axis=0).tobytes()
+                    if rows == 1:  # a theory flow's E0: the 1-d sample's pass
+                        x, y = data.sample(0)
+                        assert total == loss.evaluate(forward(mlp, x).y - y)
 
 
 @pytest.mark.parametrize("sizes", [(4, 1), (3, 5, 2), (2, 6, 4, 3)])

@@ -25,6 +25,7 @@ from lyapflow import (
 )
 from lyapflow import control, dynamics, net
 from lyapflow.cli import main
+from lyapflow.config import parse_kv
 from lyapflow.datasets import Dataset
 from lyapflow.perturb import robustness_run
 
@@ -127,6 +128,38 @@ def test_robustness_run_refuses_excessive_level():
     traj, bound = robustness_run(mlp, mode, spec, gains, loss, integ, stop)
     assert bound is None          # M >= k_min: no certificate
     assert traj.n_records() > 0   # the run itself still executes
+
+
+README_X = "1, -0.6, 0.8, 0.4"
+
+
+@pytest.mark.parametrize("x, M, refusal", [
+    (README_X, None, None),
+    (README_X, 0.3, None),
+    (README_X, 1.2, "k_min = 1.0 must exceed the perturbation level M = 1.2"),
+    ("0, 0, 0, 0", None, "sample 0 is all zeros"),
+], ids=["noise-free", "vanishing", "M-above-k", "all-zero"])
+def test_the_library_and_the_cli_certify_alike(tmp_path, x, M, refusal):
+    # robustness_run and `lyapflow train` share one Problem: the same T, E0
+    # and flavor, or both refuse.  The all-zero sample once raised
+    # AssumptionError from robustness_run instead of being refused
+    text = ("net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.7\ngains.k = 1\n"
+            f"integ.t_max = 0.02\nmode.x = {x}\nmode.y_star = 0.48\n")
+    if M is not None:
+        text += f"perturb.mode = vanishing\nperturb.M = {M}\n"
+    (tmp_path / "run.kv").write_text(text)
+    main(["train", "--config", str(tmp_path / "run.kv"), "--out", str(tmp_path / "out")])
+    kv = parse_kv((tmp_path / "out" / "summary.kv").read_text())
+    spec = None if M is None else PerturbationSpec("vanishing", M, 0.7)
+    mode = TheoryFlow(np.array([float(v) for v in x.split(",")]), np.array([0.48]))
+    _, bound = robustness_run(Mlp.zeros((4, 1)), mode, spec, GainSchedule.uniform(1.0),
+                              LyapunovLoss.single_neuron(0.7),
+                              Integrator(dt=1e-4, t_max=0.02), StoppingRule())
+    if refusal is None:
+        assert (kv["bound.T"], kv["bound.E0"], kv["bound.flavor"]) == (
+            repr(bound.T), repr(bound.E0), bound.flavor)
+    else:
+        assert bound is None and refusal in kv["bound"]
 
 
 def test_amplitude_mode_never_certified():
