@@ -12,7 +12,8 @@ single-neuron law is proven to obey it, in two flavors, with beta = a/(a+1):
     perturbed       c = (k_min - M) * gamma      (needs k_min > M)
 
 gamma is the excitation level: some input entry of every sample exceeds it.
-It is the user's value or the data minimum, never the frozen bias entry.
+It is the user's value or the data minimum, never the frozen bias entry, and
+an all-zero sample gets no certificate under either.
 
 ``Problem`` decides a certificate's inputs, once per run: the law the net
 and the loss give, gamma and E0, the loss at the initial weights on the
@@ -187,8 +188,8 @@ def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
 class Problem:
     """A run and its certificate inputs, decided once: the law the net and
     the loss give, gamma (the given estimate, else the data minimum of the
-    clean rows, else the error that stopped that estimate) and E0, the loss
-    at the initial weights on the clean rows."""
+    clean rows; the error that stops that estimate, given or not) and E0,
+    the loss at the initial weights on the clean rows."""
 
     mlp: Mlp
     loss: object
@@ -204,11 +205,11 @@ class Problem:
     def __post_init__(self):
         self.law = select_law(self.mlp, isinstance(self.loss, LyapunovLoss))
         data = self.mode.dataset
-        if self.gamma is None:
-            try:
-                self.gamma = estimate_gamma(data)
-            except AssumptionError as exc:
-                self.gamma = exc
+        try:  # even under a given gamma: a sample that excites no input voids it
+            estimate = estimate_gamma(data)
+            self.gamma = self.gamma or estimate
+        except AssumptionError as exc:
+            self.gamma = exc
         self.E0 = dataset_loss(self.mlp, data, self.loss)[0]
 
     def certificate(self, noise) -> tuple:

@@ -412,17 +412,19 @@ def _cmd_alpha_sweep(cfg: dict, args, out: Path) -> int:
 
 
 def _fd_gradient(mlp: Mlp, x, y_star, loss, h: float = 1e-6) -> list:
-    work = mlp.copy()
+    """Central differences; a weight's step is h / max(1, |a|), a the
+    activation it multiplies, so its pre-activation moves by at most h."""
+    work, acts = mlp.copy(), forward(mlp, x).acts
     grads = [np.zeros_like(w) for w in mlp.weights]
     for l, w in enumerate(mlp.weights):
         for idx in np.ndindex(w.shape):
-            keep = w[idx]
-            work.weights[l][idx] = keep + h
+            keep, step = w[idx], h / max(1.0, abs(float(acts[l][idx[-1]])))
+            work.weights[l][idx] = keep + step
             e_plus = forward(work, x).y - y_star
-            work.weights[l][idx] = keep - h
+            work.weights[l][idx] = keep - step
             e_minus = forward(work, x).y - y_star
             work.weights[l][idx] = keep
-            grads[l][idx] = (loss.evaluate(e_plus) - loss.evaluate(e_minus)) / (2 * h)
+            grads[l][idx] = (loss.evaluate(e_plus) - loss.evaluate(e_minus)) / (2 * step)
     return grads
 
 

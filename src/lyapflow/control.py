@@ -106,16 +106,14 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     return [rate]
 
 
-def mlp_update(grad, E: float, gains: GainSchedule,
-               loss: LyapunovLoss, out=None) -> ControlSignal:
+def mlp_update(grad, E: float, gains: GainSchedule, loss: LyapunovLoss) -> ControlSignal:
     """Layered law: dW_l/dt = -k * sgnpow(dE/dW_l, alpha) * E**beta.
 
     `grad` is dE/dW per layer (``net.loss_gradient``), the input gradient
     flow takes as well; a list of one flat array of every layer's entries
     is one layer too.  Bias columns are updated like any other weight
     (their activation entry is the constant 1).  Valid for alpha + beta < 1.
-    E is one value per run for a stack of runs.  Each rate is written into
-    its array of `out`, if given (such as a stretch's slice of one signal).
+    E is one value per run for a stack of runs.  Each rate is a fresh array.
     """
     stacked = isinstance(E, np.ndarray) and E.ndim > 0
     values = E.tolist() if stacked else [E]
@@ -129,11 +127,9 @@ def mlp_update(grad, E: float, gains: GainSchedule,
     # last bit differently, and the weights would drift from a lone run's
     powers = [v ** loss.beta for v in values]
     scale = np.array(powers).reshape((-1,) + (1,) * (grad[0].ndim - 1)) if stacked else powers[0]
-    return [np.multiply(-gains.scalar * sgnpow(g, loss.alpha), scale, out=u)
-            for g, u in zip(grad, out or [None] * len(grad))]
+    return [-gains.scalar * sgnpow(g, loss.alpha) * scale for g in grad]
 
 
-def gradient_flow_update(grad, gains: GainSchedule, out=None) -> ControlSignal:
-    """Baseline: dW_l/dt = -k * dE/dW_l, into the arrays of `out` if given."""
-    return [np.multiply(g, -gains.scalar, out=u)
-            for g, u in zip(grad, out or [None] * len(grad))]
+def gradient_flow_update(grad, gains: GainSchedule) -> ControlSignal:
+    """Baseline: dW_l/dt = -k * dE/dW_l, each rate a fresh array."""
+    return [g * -gains.scalar for g in grad]

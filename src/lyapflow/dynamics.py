@@ -28,13 +28,13 @@ One law object serves a lone run and every stack.  It groups the runs into
 stretches that share a law and its loss (gradient-flow runs share only
 their law); the forward pass, the back-propagation and dE/dW run once for
 the stack, and only E, dE/de and the law's last step run per stretch, each
-stretch writing into its slice of one array.  The law holds the buffers of
-the pass and the back-propagation (``net.ForwardTrace``, the flat dE/dW)
-per active set, so a hidden layer's bias column is written once per
-buffer, not once per evaluation; E, the errors and the signal are fresh on
-every evaluation.  A lone run or a noise stack is one stretch and is never
-sliced.  A run that settles, diverges or fails leaves the active set at
-once: the stack is compacted, never masked.
+stretch's signal then joined to the others'.  The law holds the buffers of
+the pass (``net.ForwardTrace``) and the flat dE/dW per active set, so a
+hidden layer's bias column is written once per buffer, not once per
+evaluation; E, the errors, the back-propagated sensitivities and the signal
+are fresh on every evaluation.  A lone run or a noise stack is one stretch
+and is never sliced.  A run that settles, diverges or fails leaves the
+active set at once: the stack is compacted, never masked.
 ``integrate`` is the one-run case of ``integrate_batch``.
 
 Each theory-mode step evaluates E once, at its start, for the settle test
@@ -254,8 +254,8 @@ class _Law:
                 for (kind, loss), s in _spans(keys)]
         self.whole = laws[0][1] if len(laws) == 1 else None
         self.backprop = any(kind != "single_neuron" for kind in kinds)
-        # the buffers of every pass and back-propagation of this active set,
-        # and each stretch's slices of those its law reads
+        # the buffers of every pass and dE/dW of this active set, and each
+        # stretch's slices of those its law reads
         self.trace = ForwardTrace.empty(self.mlp, (len(kinds),) if self.stacked else ())
         self.grad, self.grad_layers = _buffer(self.shapes, len(kinds), self.stacked)
         self.groups = [(s, law, self.trace.preacts[0][s], self.grad[s]) for s, law in laws]
@@ -269,8 +269,9 @@ class _Law:
         """At the layer views `weights` of a flat state, the signal shaped like
         it.  x is a Sample (a plain array is checked again on every call);
         y_star has been checked against the net's outputs.  E, the errors
-        and the signal are fresh arrays; every other result lives in the
-        held buffers and is overwritten by the next evaluation."""
+        and the signal, each stretch's joined in run order, are fresh
+        arrays; the pass and dE/dW live in the held buffers and are
+        overwritten by the next evaluation."""
         self.mlp.weights = weights
         trace = forward(self.mlp, x, self.trace)
         e = trace.y - y_star
@@ -280,27 +281,23 @@ class _Law:
                           out=self.grad_layers)
         if self.whole:  # one stretch: nothing to slice
             return E, e, self._signal(self.whole, x, e, trace.preacts[0], self.grad, E)
-        u = np.empty_like(self.grad)  # fresh: RK4 keeps each stage's signal
-        for s, law, z, grad in self.groups:
-            self._signal(law, x, e[s], z, grad, None if E is None else E[s], u[s])
-        return E, e, u
+        return E, e, np.concatenate([
+            self._signal(law, x, e[s], z, grad, None if E is None else E[s])
+            for s, law, z, grad in self.groups])
 
-    def _signal(self, law, x, e, z, grad, E, out=None):
-        """One stretch's control signal from its errors, pre-activations and
-        flat dE/dW, written into `out` if it is given; E is evaluated here
-        only for the layered law, whose rate scales with E**beta."""
+    def _signal(self, law, x, e, z, grad, E):
+        """One stretch's control signal, a fresh array, from its errors,
+        pre-activations and flat dE/dW; E is evaluated here only for the
+        layered law, whose rate scales with E**beta."""
         kind, loss, rate_scale = law
         if kind == "single_neuron":  # a one-layer net, whose state is its layer
-            rate = single_neuron_update(x, e[..., 0], z[..., 0], self.gains,
+            return single_neuron_update(x, e[..., 0], z[..., 0], self.gains,
                                         rate_scale=rate_scale)[0]
-            if out is not None:
-                out[...] = rate
-            return rate
         if kind == "mlp":
             if E is None:
                 E = loss.evaluate(e[..., None, :])
-            return mlp_update([grad], E, self.gains, loss, out=[out])[0]
-        return gradient_flow_update([grad], self.gains, out=[out])[0]
+            return mlp_update([grad], E, self.gains, loss)[0]
+        return gradient_flow_update([grad], self.gains)[0]
 
     def rates(self, weights, x, y_star):
         """The control signal alone, as an RK4 stage or an epoch step needs it."""
@@ -327,9 +324,9 @@ class _Losses:
     def evaluate(self, e):
         return np.concatenate([loss.evaluate(e[s]) for loss, s in self.spans])
 
-    def error_grad(self, e, out=None):
-        """dE/de, each stretch written into its slice of `out` (or a fresh array)."""
-        out = np.empty_like(e) if out is None else out
+    def error_grad(self, e):
+        """dE/de, each stretch written into its slice of one fresh array."""
+        out = np.empty_like(e)
         for loss, s in self.spans:
             loss.error_grad(e[s], out=out[s])
         return out

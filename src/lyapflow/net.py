@@ -17,6 +17,7 @@ A pass writes into the buffers of a ``ForwardTrace``: each hidden layer's
 activations go into a bias-appended buffer whose 1.0 column is written once,
 when the buffer is made, not on every pass.  An integration holds one trace
 per active set; a call without one fills fresh buffers by the same code.
+Back-propagation (``sensitivities``) returns fresh arrays.
 
 Pre-activations are clamped to +/-30 before any exponential is taken, both
 in the sigmoid and in the control laws that use its reciprocal slope.
@@ -147,7 +148,7 @@ class Mlp:
 @dataclass
 class ForwardTrace:
     """Everything the control laws need from one forward pass, in buffers
-    that serve every pass and back-propagation of one net and run count.
+    that serve every pass of one net and run count.
 
     acts[l] is the activation vector feeding weight layer l, with the bias
     entry 1.0 appended; acts[0] is the input itself, and every later one is
@@ -156,15 +157,13 @@ class ForwardTrace:
     nonlinearity, and outs[l] that nonlinearity's output: a view of
     acts[l + 1] without its bias column, or y for the last layer.  y is the
     network output (no bias entry), preacts[-1] itself for an identity
-    output.  deltas[l] receives layer l's sensitivities (``sensitivities``).
-    For a stack of runs each of these has a leading run axis, except acts[0]
-    when every run shares one input.
+    output.  For a stack of runs each of these has a leading run axis,
+    except acts[0] when every run shares one input.
     """
 
     preacts: list
     acts: list
     outs: list
-    deltas: list
     y: np.ndarray
 
     @classmethod
@@ -179,8 +178,7 @@ class ForwardTrace:
         preacts = [np.empty(lead + (units,)) for units in sizes]
         last = preacts[-1] if mlp.activations[-1] is Activation.IDENTITY else np.empty(
             lead + (sizes[-1],))
-        return cls(preacts, acts, [z[..., :-1] for z in acts[1:]] + [last],
-                   [np.empty(lead + (units,)) for units in sizes], last)
+        return cls(preacts, acts, [z[..., :-1] for z in acts[1:]] + [last], last)
 
 
 def _with_bias(v: np.ndarray) -> np.ndarray:
@@ -260,15 +258,14 @@ def forward(mlp: Mlp, x, trace: ForwardTrace | None = None) -> ForwardTrace:
 
 
 def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss, e=None) -> Deltas:
-    """Per-layer pre-activation sensitivities of the loss, written into
-    trace.deltas, which is returned.
+    """Per-layer pre-activation sensitivities of the loss, as fresh arrays.
 
     Output layer: delta = act'(a) * dE/de evaluated at e = y - y_star.
     Hidden layer l: delta_l = act'(a_l) * (W_{l+1} without its bias column)^T
     applied to delta_{l+1}; the bias column never feeds back because the
-    constant entry is not a function of earlier layers.  Each slope act'(a)
-    comes from the activation the forward pass stored, not a second sigmoid;
-    an identity layer's slope of 1 is not multiplied in at all.
+    constant entry is not a function of earlier layers.  A sigmoid layer's
+    slope s (1 - s) comes from the output s the forward pass stored, not a
+    second sigmoid; an identity layer's slope of 1 is not multiplied in.
 
     A caller that has checked y_star once and already holds the error
     e = trace.y - y_star passes it as `e`; y_star is then not read.
@@ -279,31 +276,15 @@ def sensitivities(mlp: Mlp, trace: ForwardTrace, y_star, loss, e=None) -> Deltas
             raise ShapeError(
                 f"expected target of shape ({mlp.n_outputs},), got {y_star.shape}")
         e = trace.y - y_star
-    deltas, acts = trace.deltas, mlp.activations
-    # an identity layer's sensitivities go straight into its delta, a
-    # sigmoid layer's into its delta times the slope
-    _times_slope(acts[-1], trace.y,
-                 loss.error_grad(e, out=_before_slope(acts[-1], deltas[-1])), deltas[-1])
-    for l in range(mlp.n_layers - 2, -1, -1):
-        w_t, d = mlp.weights[l + 1][..., :-1].swapaxes(-1, -2), deltas[l + 1]
-        into = _before_slope(acts[l], deltas[l])
-        back = (np.matmul(w_t, d, out=into) if d.ndim == 1 else
-                np.matmul(w_t, d[..., None], out=None if into is None else into[..., None])[..., 0])
-        _times_slope(acts[l], trace.outs[l], back, deltas[l])
+    deltas = [None] * mlp.n_layers
+    g = loss.error_grad(e)
+    for l in range(mlp.n_layers - 1, -1, -1):
+        if l + 1 < mlp.n_layers:
+            w_t, d = mlp.weights[l + 1][..., :-1].swapaxes(-1, -2), deltas[l + 1]
+            g = np.matmul(w_t, d) if d.ndim == 1 else np.matmul(w_t, d[..., None])[..., 0]
+        s = trace.outs[l]
+        deltas[l] = s * (_ONE - s) * g if mlp.activations[l] is Activation.SIGMOID else g
     return deltas
-
-
-def _before_slope(act: Activation, delta):
-    """Where a layer's sensitivities before its slope go: its delta for an
-    identity layer, whose slope of 1 is not multiplied in, else fresh."""
-    return delta if act is Activation.IDENTITY else None
-
-
-def _times_slope(act: Activation, s, v, out) -> None:
-    """out = act's slope at output s times v, for a sigmoid layer, whose
-    slope is s (1 - s) in (0, 0.25]; an identity layer's v is already out."""
-    if act is Activation.SIGMOID:
-        np.multiply(s * (_ONE - s), v, out=out)
 
 
 def loss_gradient(deltas: Deltas, trace: ForwardTrace, out=None) -> list:

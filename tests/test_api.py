@@ -78,17 +78,22 @@ def test_every_name_the_demos_import_resolves():
     assert checked > 0
 
 
-@pytest.mark.parametrize("demo", ["deep_net_decrease.py", "loss_race.py"])
+@pytest.mark.parametrize("demo", ["deep_net_decrease.py", "loss_race.py",
+                                  "alpha_zero_chatter.py", "gain_scaling_table.py",
+                                  "single_neuron_settling.py"])
 def test_the_demos_of_the_layered_and_gradient_flow_laws_run(tmp_path, demo):
-    # these two run the back-propagation path end to end; each writes its
-    # plot under demo_out/ in the directory it is run from
+    # the first two run the back-propagation path end to end, the others the
+    # single-neuron law; each but gain_scaling_table.py (a table only) writes
+    # its plot under demo_out/ in the directory it is run from.
+    # noise_robustness.py, about 9 s, is left out to keep tier-1 fast
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert list((tmp_path / "demo_out").glob("*.svg"))
+    if demo != "gain_scaling_table.py":
+        assert list((tmp_path / "demo_out").glob("*.svg"))
 
 
 def test_the_readme_quick_start_runs_and_settles_inside_its_certificate():

@@ -173,18 +173,21 @@ def test_estimate_gamma_zero_sample_raises():
 
 def test_estimate_gamma_bias_unit_mode(tmp_path, capsys):
     # gone: the bias unit no longer lends an all-zero sample gamma = 1, so
-    # that sample gets no certificate; a sweep refuses each level's and runs
+    # that sample gets no certificate; a sweep refuses each level's and runs.
+    # A given gamma does not stand in for it either: such a run never moves
     x = np.array([[0.0, 0.0]])
     with pytest.raises(AssumptionError, match="all zeros"):
         estimate_gamma(x)
-    path = tmp_path / "run.kv"
-    path.write_text("net.layers = 2, 1\nnet.init = zeros\nmode.x = 0, 0\nmode.y_star = 0.8\n"
-                    "integ.dt = 1e-3\ninteg.t_max = 0.01\nsweep.m_values = 0, 0.5\n")
-    assert cli_main(["bound", "--config", str(path), "--out", str(tmp_path / "b")]) == 1
-    assert "refused (sample 0 is all zeros" in capsys.readouterr().out
-    assert cli_main(["perturb-sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
-    kv = parse_kv((tmp_path / "s" / "summary.kv").read_text())
-    assert kv["row0.certified"] == kv["row1.certified"] == "false"
+    for run, gamma in enumerate(("", "bound.gamma = 1\n")):
+        path = tmp_path / f"run{run}.kv"
+        path.write_text("net.layers = 2, 1\nnet.init = zeros\nmode.x = 0, 0\nmode.y_star = 0.8\n"
+                        "integ.dt = 1e-3\ninteg.t_max = 0.01\nsweep.m_values = 0, 0.5\n" + gamma)
+        out = tmp_path / f"out{run}"
+        assert cli_main(["bound", "--config", str(path), "--out", str(out / "b")]) == 1, gamma
+        assert "refused (sample 0 is all zeros" in capsys.readouterr().out
+        assert cli_main(["perturb-sweep", "--config", str(path), "--out", str(out / "s")]) == 0
+        kv = parse_kv((out / "s" / "summary.kv").read_text())
+        assert kv["row0.certified"] == kv["row1.certified"] == "false"
 
 
 def test_estimate_gamma_accepts_dataset_and_vectors():

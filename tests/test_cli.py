@@ -295,20 +295,26 @@ def test_bound_on_dataset_mode_is_flagged_heuristic(tmp_path):
 
 
 def test_gradcheck_passes_on_random_net(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
+    # the second input is large: a fixed step of 1e-6 in a weight moved its
+    # pre-activation by 0.05 and failed a correct back-propagation
+    for run, text in enumerate((
         "net.layers = 3, 5, 2\n"
         "net.output_activation = identity\n"
         "run.seed = 1\n"
         "mode.x = 0.8, -0.4, 0.3\n"
         "mode.y_star = -1, 2\n",
-    )
-    out = tmp_path / "out"
-    assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == 0
-    kv = _summary(out)
-    assert kv["passed"] == "true"
-    assert float(kv["max_rel_error"]) < 1e-5
-    assert "OK" in capsys.readouterr().out
+        "net.layers = 2, 1\n"
+        "net.init = zeros\n"
+        "mode.x = 50000, 50000\n"
+        "mode.y_star = 0.2\n",
+    )):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / f"out{run}"
+        assert main(["gradcheck", "--config", cfg, "--out", str(out)]) == 0
+        kv = _summary(out)
+        assert kv["passed"] == "true"
+        assert float(kv["max_rel_error"]) < 1e-5
+        assert "OK" in capsys.readouterr().out
 
 
 def test_alpha_sweep_guards_alpha_zero(tmp_path, capsys):

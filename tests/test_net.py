@@ -5,6 +5,7 @@ import pytest
 
 from lyapflow import (
     Activation,
+    ForwardTrace,
     L2Loss,
     LyapunovLoss,
     Mlp,
@@ -250,7 +251,16 @@ def test_sensitivities_reuse_forward_activations_bitwise(sizes, out_act):
                 back = mlp.weights[l + 1][:, :-1].T @ expected[l + 1]
                 expected[l] = _slope(acts[l], a[l]) * back
             got = sensitivities(mlp, trace, y_star, loss)
-            assert [d.tobytes() for d in got] == [d.tobytes() for d in expected]
+            want = [d.tobytes() for d in expected]
+            assert [d.tobytes() for d in got] == want
+            # through held buffers too; the deltas a call returns are its
+            # own, unchanged by the next pass and back-propagation
+            held = ForwardTrace.empty(mlp)
+            first = sensitivities(mlp, forward(mlp, x, held), y_star, loss)
+            assert [d.tobytes() for d in first] == want
+            other = Mlp.random(sizes, seed=seed + 6, output_activation=out_act, scale=4.0)
+            sensitivities(other, forward(other, x, held), y_star, loss)
+            assert [d.tobytes() for d in first] == want
 
 
 @pytest.mark.parametrize("sizes,out_act", [
