@@ -188,8 +188,8 @@ def certify(E0: float, gains: GainSchedule, gamma, loss, law: str,
 class Problem:
     """A run and its certificate inputs, decided once: the law the net and
     the loss give, gamma (the given estimate, else the data minimum of the
-    clean rows; the error that stops that estimate, given or not) and E0,
-    the loss at the initial weights on the clean rows."""
+    clean rows; the error that stops that estimate or refuses a given one
+    above it) and E0, the loss at the initial weights on the clean rows."""
 
     mlp: Mlp
     loss: object
@@ -206,8 +206,11 @@ class Problem:
         self.law = select_law(self.mlp, isinstance(self.loss, LyapunovLoss))
         data = self.mode.dataset
         try:  # even under a given gamma: a sample that excites no input voids it
-            estimate = estimate_gamma(data)
-            self.gamma = self.gamma or estimate
+            least, given = estimate_gamma(data), self.gamma
+            if isinstance(given, GammaEstimate) and given.gamma > least.gamma:
+                raise AssumptionError(f"gamma = {given.gamma!r} exceeds the data minimum "
+                                      f"{least.gamma!r}")
+            self.gamma = given or least
         except AssumptionError as exc:
             self.gamma = exc
         self.E0 = dataset_loss(self.mlp, data, self.loss)[0]

@@ -9,8 +9,8 @@ Three laws live here:
   fractional power of its own loss sensitivity, scaled by E**beta.
 * ``gradient_flow_update`` -- plain gradient flow, used for L1/L2 baselines.
 
-Each law also takes a stack of runs (a leading run axis on trace, errors and
-E) and rounds every run exactly as it would be rounded alone.
+Each law, and ``signal_norm``, also takes a stack of runs (a leading run
+axis) and rounds every run exactly as it would be rounded alone.
 """
 
 from __future__ import annotations
@@ -56,9 +56,12 @@ class GainSchedule:
         return self.scalar
 
 
-def signal_norm(signal: ControlSignal) -> float:
-    """Flat 2-norm over every rate entry."""
-    return math.sqrt(sum(float(np.add.reduce(u * u, axis=None)) for u in signal))
+def signal_norm(signal: ControlSignal) -> float | np.ndarray:
+    """Flat 2-norm over every rate entry; a stack's layers (R, out, in+1) give
+    one per run, summed as alone: each layer, then the layers in order."""
+    if signal[0].ndim == 2:
+        return math.sqrt(sum(float(np.add.reduce(u * u, axis=None)) for u in signal))
+    return np.sqrt(sum(np.add.reduce((u * u).reshape(len(u), -1), axis=1) for u in signal))
 
 
 def lyapunov_rate_scale(alpha: float) -> float:

@@ -33,9 +33,9 @@ the pass (``net.ForwardTrace``) and the flat dE/dW per active set, so a
 hidden layer's bias column is written once per buffer, not once per
 evaluation; E, the errors, the back-propagated sensitivities and the signal
 are fresh on every evaluation.  A lone run or a noise stack is one stretch
-and is never sliced.  A run that settles, diverges or fails leaves the
-active set at once: the stack is compacted, never masked.
-``integrate`` is the one-run case of ``integrate_batch``.
+and is never sliced.  Each run keeps its own records and leaves the active
+set as its Trajectory, or its error, once it ends: the stack is compacted,
+never masked.  ``integrate`` is the one-run case of ``integrate_batch``.
 
 Each theory-mode step evaluates E once, at its start, for the settle test
 and the record.  The RK4 stages, like the per-sample epoch steps, compute
@@ -370,7 +370,7 @@ def _step(law: _Law, runs, y_star, dt: float, method: str) -> None:
 
 
 class _Runs:
-    """The active set of a stack of runs, and everything recorded so far.
+    """The active set of a stack of runs; each run's records, its Trajectory once it ends.
 
     The weights W, one flat state (``_buffer``) stepped in place, and the
     RK4 stage buffer are made with their views for each active set.  A
@@ -379,16 +379,15 @@ class _Runs:
     per-call cost is lower.  Kept at one run, the axis made single-neuron
     training about 20% slower and a 4-8-1 compare about 10% slower."""
 
-    def __init__(self, weights, count: int, x, law: _Law):
-        self.ids, self.stacked, self.law = np.arange(count), count > 1, law
+    def __init__(self, weights, count: int, x, law: _Law, epsilon: float):
+        self.ids, self.stacked, self.law, self.epsilon = np.arange(count), count > 1, law, epsilon
         W, layers = _buffer(law.shapes, count, self.stacked)
         for layer, w in zip(layers, weights):
             layer[...] = w  # every run starts from the net's weights
         self._hold(W)
         self.x, self.u = x, None    # Sample, shared or one row per run; last signal
-        self.done = [None] * count  # (settled_at, final weights) or an error
-        # flat lists of floats: less memory than small arrays, nothing to scan
-        self.rec_ids, self.rec_t, self.rec_E, self.rec_err, self.rec_norm = [], [], [], [], []
+        self.logs = [[] for _ in range(count)]  # by run id: (t, E, errors, norm) rows
+        self.done = [None] * count  # by run id: its Trajectory or an error
 
     def _hold(self, W) -> None:
         """Take W as the state, with views and a stage buffer for its runs."""
@@ -431,34 +430,25 @@ class _Runs:
     def finish(self, ended, settled_at) -> None:
         """End the runs where `ended` is set, settled at one time (None: not) or one each."""
         at = settled_at if isinstance(settled_at, list) else [settled_at] * len(ended)
-        self.drop(ended, lambda j: (at[j], [w.copy() for w in self.rows(self.W, j)]))
+        self.drop(ended, lambda j: Trajectory(  # t, E, errors and control norms
+            *(np.array(c) for c in zip(*self.logs[self.ids[j]])), settled_at=at[j],
+            epsilon=self.epsilon, final_weights=[w.copy() for w in self.rows(self.W, j)]))
 
     def record(self, t, E, errs, rows=None) -> None:
-        """Record the runs at positions `rows`, or every active run, at one time or one each."""
-        ids, positions = self.ids, range(len(self.ids))
+        """Record the runs at positions `rows`, or every active run, at one
+        time or one each: one ``signal_norm`` call gives every run its norm."""
+        ids, u = self.ids, self.u
         if rows is not None:
-            ids, E, errs, positions = ids[rows], E[rows], errs[rows], np.flatnonzero(rows)
-        self.rec_ids.append(ids)
-        self.rec_t += [t] * len(ids) if np.isscalar(t) else t[positions].tolist()
-        self.rec_E += E.tolist()
-        self.rec_err += errs.ravel().tolist()
-        self.rec_norm += ([0.0] * len(ids) if self.u is None else
-                          [signal_norm(self.rows(self.u, j)) for j in positions])
-
-    def results(self, epsilon: float) -> list:
-        if not self.rec_t:  # every run failed before its first record
-            return list(self.done)
-        ids = np.concatenate(self.rec_ids)
-        t = np.array(self.rec_t)
-        E, norms = np.array(self.rec_E), np.array(self.rec_norm)
-        errs = np.array(self.rec_err).reshape(len(E), -1)
-        out = []
-        for run, done in enumerate(self.done):
-            mine = ids == run
-            out.append(done if isinstance(done, Exception) else Trajectory(
-                t=t[mine], E=E[mine], errors=errs[mine], control_norm=norms[mine],
-                settled_at=done[0], epsilon=epsilon, final_weights=done[1]))
-        return out
+            ids, E, errs, t = ids[rows], E[rows], errs[rows], t if np.isscalar(t) else t[rows]
+            u = u[rows] if self.stacked and u is not None else u
+        if u is None:  # no signal yet: an epoch run's first record
+            norms = [0.0] * len(ids)
+        else:
+            norm = signal_norm(_views(u, self.law.shapes))
+            norms = norm.tolist() if self.stacked else [norm]
+        ts = [t] * len(ids) if np.isscalar(t) else t.tolist()
+        for run, *row in zip(ids.tolist(), ts, E.tolist(), errs.tolist(), norms):
+            self.logs[run].append(row)
 
 
 class _Noise:
@@ -571,8 +561,9 @@ class _Theory:
             if E_j <= self.epsilon:
                 w[...], runs.rows(runs.u, j)[0][...] = new, u_j
                 landed[j], E[j], errs[j], at[j] = True, E_j, e_j, at_j
-        runs.record(at, E, errs, landed)
-        runs.finish(landed, at.tolist())
+        if np.logical_or.reduce(landed):
+            runs.record(at, E, errs, landed)
+            runs.finish(landed, at.tolist())
 
 
 class _Epochs:
@@ -686,7 +677,7 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
             f"one epoch of {flow.span} samples"
         )
 
-    runs = _Runs(work.weights, len(losses), getattr(flow, "x", None), rule)
+    runs = _Runs(work.weights, len(losses), getattr(flow, "x", None), rule, stop.epsilon)
     noise = None if noises is None else _Noise(noises)
     # overflow in a diverging state is expected; the finite checks report it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -708,5 +699,5 @@ def integrate_batch(mlp: Mlp, mode, loss, gains: GainSchedule, integ: Integrator
             if n == last or not len(runs.ids):
                 break
     runs.finish(np.ones(len(runs.ids), dtype=bool), None)
-    return runs.results(stop.epsilon)
+    return runs.done
 

@@ -4,7 +4,8 @@
 certificate, a wrong refusal or a repeat that writes other bytes fails the
 benchmark.  Running those checks here makes such a change fail the tests
 first.  Both bench files are loaded by path and use only numpy and the
-standard library.
+standard library.  The artifacts' digests are pinned too, so a change of
+any byte fails here; a change that declares new bytes updates the pins.
 """
 
 import hashlib
@@ -28,6 +29,14 @@ def _bench_module(name: str, monkeypatch):
     return module
 
 
+# sha256 prefixes of problem zero's trajectory.csv and summary.kv
+PINNED = {
+    "single_settle": ("ec75d2c439d2140e", "26990bde09cc3544"),
+    "mlp_compare": ("b1901e853b249147", "de9623742cbed44c"),
+    "noisy_epoch_sweep": ("67ab5d9e6d74a04c", "bd9c4019bcfbb474"),
+}
+
+
 @pytest.mark.parametrize("workload", ["single_settle", "mlp_compare", "noisy_epoch_sweep"])
 def test_the_bench_checks_pass_on_problem_zero(tmp_path, monkeypatch, workload):
     workloads, checks = (_bench_module(name, monkeypatch) for name in ("workloads", "checks"))
@@ -44,3 +53,5 @@ def test_the_bench_checks_pass_on_problem_zero(tmp_path, monkeypatch, workload):
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                         for name in ("trajectory.csv", "summary.kv")})
     assert checks.check_repeat(digests[1], digests[0]) == []
+    pinned = (digests[0]["trajectory.csv"][:16], digests[0]["summary.kv"][:16])
+    assert pinned == PINNED[workload]

@@ -466,7 +466,7 @@ EPOCH_BLOBS = "net.layers = 4, 1\nmode.kind = epoch\ndata.source = blobs\ndata.p
 @pytest.mark.parametrize("flow,gamma_line", [
     (THEORY_SAMPLE, ""),
     (THEORY_SAMPLE, "bound.gamma = 1.5\n"),
-    (EPOCH_BLOBS, "bound.gamma = 1.5\n"),
+    (EPOCH_BLOBS, "bound.gamma = 1.0\n"),  # at or below the blobs' minimum, 1.075
 ], ids=["data_min", "user", "epoch"])
 def test_bound_and_perturb_sweep_agree_on_T(tmp_path, capsys, flow, gamma_line):
     # both take gamma from the one resolver: the user's value, else the data's;
@@ -490,7 +490,7 @@ def test_bound_and_perturb_sweep_agree_on_T(tmp_path, capsys, flow, gamma_line):
         one = _write(tmp_path, base + f"perturb.M = {m}\n", "b.kv")
         assert main(["bound", "--config", one, "--out", str(tmp_path / "b")]) == 0
         kv = _summary(tmp_path / "b")
-        assert kv["bound.gamma"] == ("1.5" if gamma_line else "50.0")
+        assert kv["bound.gamma"] == (gamma_line.split(" = ")[1].strip() if gamma_line else "50.0")
         assert rows[f"row{i}.T_bound"] == kv["bound.T"]
         assert rows[f"row{i}.certified"] == "true"
         assert rows.get(f"row{i}.heuristic") == kv.get("bound.heuristic") == heuristic
@@ -585,20 +585,30 @@ README_BARE = ("net.layers = 4, 1\nnet.init = zeros\nloss.alpha = 0.7\ngains.k =
                "mode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n")
 
 
-@pytest.mark.parametrize("extra, kept, broke", [
+# ROADMAP Known defect 1: at seed 1 this noisy unit first enters its band
+# after its perturbed certificate T = 5.32337, at t = 5.42452
+DEFECT_1 = ("net.layers = 1, 1\nnet.init = zeros\nloss.alpha = 0.6513769671338443\n"
+            "gains.k = 1.1245103986668186\nstop.epsilon = 2.2776021573951867e-06\n"
+            "mode.x = 0.08275585610399094\nmode.y_star = 0.12181771757377756\n"
+            "perturb.mode = vanishing\nperturb.M = 0.07824014894821374\n"
+            "integ.dt = 0.0053233725914233965\n")
+
+
+@pytest.mark.parametrize("text, kept, broke", [
     # the certificate T = 0.0249 holds: the run settles at 0.00889
-    ("bound.gamma = 1\ninteg.t_max = 0.02\n", "true", None),
-    # gamma = 10 is above every |x_i|: T = 0.00249, the run settles at 0.00889
-    ("bound.gamma = 10\ninteg.t_max = 0.02\n", "false", "it settled at t = 0.00888"),
+    (README_BARE + "bound.gamma = 1\ninteg.t_max = 0.02\n", "true", None),
+    # the broken verdicts below rest on Known defect 1: the run settles late
+    (DEFECT_1 + "integ.t_max = 6\n", "false", "it settled at t = 5.42452, after T = 5.32337"),
     # the same run, stopped between T and its settle, is unsettled at T
-    ("bound.gamma = 10\ninteg.t_max = 0.005\n", "false",
-     "it was unsettled at T = 0.0024884 (final E = "),
+    (DEFECT_1 + "integ.t_max = 5.33\n", "false",
+     "it was unsettled at T = 5.32337 (final E = "),
     # stopped before T, it cannot be judged
-    ("bound.gamma = 10\ninteg.t_max = 0.002\n", "unknown", None),
+    (DEFECT_1 + "integ.t_max = 5\n", "unknown", None),
 ], ids=["kept", "settled-late", "unsettled-at-T", "stopped-before-T"])
-def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, extra, kept, broke):
+def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, text, kept, broke):
     out = tmp_path / "out"
-    code = main(["train", "--config", _write(tmp_path, README_BARE + extra), "--out", str(out)])
+    seed = [] if text.startswith(README_BARE) else ["--seed", "1"]
+    code = main(["train", "--config", _write(tmp_path, text), "--out", str(out)] + seed)
     err = capsys.readouterr().err
     assert code == (1 if broke else 0)
     if broke:
@@ -609,6 +619,27 @@ def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, extra
     lines = (out / "summary.kv").read_text().splitlines()
     at = lines.index(next(ln for ln in lines if ln.startswith("settled_at = ")))
     assert lines[at + 1] == f"bound.kept = {kept}"
+
+
+def test_a_gamma_above_the_data_minimum_is_refused(tmp_path, capsys):
+    # gamma = 10 is above every |x_i| of the README neuron, whose data minimum
+    # is 1: it certified T = 0.0024884 for a run that settles at 0.00889.
+    # bound refuses it, train runs uncertified at the 1e-3 fallback and the
+    # sweep's rows are not certified
+    reason = "gamma = 10.0 exceeds the data minimum 1.0"
+    text = README_BARE + "bound.gamma = 10\ninteg.t_max = 0.02\n"
+    assert main(["bound", "--config", _write(tmp_path, text), "--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out == f"bound: refused ({reason})\n"
+    assert _summary(tmp_path / "b")["bound"] == f"none ({reason})"
+    assert main(["train", "--config", _write(tmp_path, text), "--out", str(tmp_path / "t")]) == 0
+    kv = _summary(tmp_path / "t")
+    assert kv["bound"] == f"none ({reason})" and kv["dt"] == "0.001" and "bound.kept" not in kv
+    sweep = text + "perturb.mode = vanishing\nperturb.M = 0\nsweep.m_values = 0, 0.2\n"
+    assert main(["perturb-sweep", "--config", _write(tmp_path, sweep),
+                 "--out", str(tmp_path / "s")]) == 0
+    rows = _summary(tmp_path / "s")
+    for i in (0, 1):
+        assert rows[f"row{i}.certified"] == "false" and rows[f"row{i}.note"] == reason
 
 
 @pytest.mark.parametrize("alpha", ["0.2", "0.3"])

@@ -196,6 +196,17 @@ def test_signal_norm():
     sig = [np.array([[3.0]]), np.array([[4.0, 0.0]])]
     assert signal_norm(sig) == pytest.approx(5.0)
     assert signal_norm([np.zeros((2, 2))]) == 0.0
+    # a stack, layers (R, out, in+1), gets one norm per run, each bitwise the
+    # run's alone; one layer holds more than numpy's 128-entry sum block
+    rng = np.random.default_rng(7)
+    shapes = [(9, 5), (20, 10), (3, 21)]
+    for depth in (1, 2, 3):
+        for runs in (1, 3, 7):
+            stack = [rng.normal(0.0, 10.0, (runs,) + shape) for shape in shapes[:depth]]
+            norms = signal_norm(stack)
+            assert norms.shape == (runs,)
+            for r in range(runs):
+                assert norms[r] == signal_norm([layer[r] for layer in stack])
 
 
 def test_stacked_laws_are_bitwise_each_run_alone():
