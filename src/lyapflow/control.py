@@ -15,7 +15,6 @@ axis) and rounds every run exactly as it would be rounded alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +58,7 @@ class GainSchedule:
 def signal_norm(signal: ControlSignal) -> float | np.ndarray:
     """Flat 2-norm over every rate entry; a stack's layers (R, out, in+1) give
     one per run, summed as alone: each layer, then the layers in order."""
-    if signal[0].ndim == 2:
-        return math.sqrt(sum(float(np.add.reduce(u * u, axis=None)) for u in signal))
-    return np.sqrt(sum(np.add.reduce((u * u).reshape(len(u), -1), axis=1) for u in signal))
+    return np.sqrt(sum(np.add.reduce(u * u, axis=(-2, -1)) for u in signal))
 
 
 def lyapunov_rate_scale(alpha: float) -> float:

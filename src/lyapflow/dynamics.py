@@ -386,7 +386,9 @@ class _Runs:
             layer[...] = w  # every run starts from the net's weights
         self._hold(W)
         self.x, self.u = x, None    # Sample, shared or one row per run; last signal
-        self.logs = [[] for _ in range(count)]  # by run id: (t, E, errors, norm) rows
+        # by run id until it ends: columns t, E, errors (flat) and norm, lists
+        # of floats, which take less memory than small arrays or row lists
+        self.logs = [([], [], [], []) for _ in range(count)]
         self.done = [None] * count  # by run id: its Trajectory or an error
 
     def _hold(self, W) -> None:
@@ -400,8 +402,8 @@ class _Runs:
 
     def drop(self, gone, outcome) -> None:
         """Take the runs at positions `gone` out; outcome(j) is how run j ended."""
-        for j in np.flatnonzero(gone):
-            self.done[self.ids[j]] = outcome(j)
+        for run, j in zip(self.ids[gone].tolist(), np.flatnonzero(gone)):
+            self.done[run], self.logs[run] = outcome(j), None  # an ended run keeps no log
         keep = ~gone
         self.ids = self.ids[keep]
         if self.stacked:
@@ -430,9 +432,11 @@ class _Runs:
     def finish(self, ended, settled_at) -> None:
         """End the runs where `ended` is set, settled at one time (None: not) or one each."""
         at = settled_at if isinstance(settled_at, list) else [settled_at] * len(ended)
-        self.drop(ended, lambda j: Trajectory(  # t, E, errors and control norms
-            *(np.array(c) for c in zip(*self.logs[self.ids[j]])), settled_at=at[j],
-            epsilon=self.epsilon, final_weights=[w.copy() for w in self.rows(self.W, j)]))
+        def trajectory(j):  # the run's columns as arrays, its errors a row per record
+            t, E, errs, norms = map(np.array, self.logs[self.ids[j]])
+            return Trajectory(t, E, errs.reshape(len(E), -1), norms, at[j], self.epsilon,
+                              [w.copy() for w in self.rows(self.W, j)])
+        self.drop(ended, trajectory)
 
     def record(self, t, E, errs, rows=None) -> None:
         """Record the runs at positions `rows`, or every active run, at one
@@ -441,14 +445,12 @@ class _Runs:
         if rows is not None:
             ids, E, errs, t = ids[rows], E[rows], errs[rows], t if np.isscalar(t) else t[rows]
             u = u[rows] if self.stacked and u is not None else u
-        if u is None:  # no signal yet: an epoch run's first record
-            norms = [0.0] * len(ids)
-        else:
-            norm = signal_norm(_views(u, self.law.shapes))
-            norms = norm.tolist() if self.stacked else [norm]
+        norms = ([0.0] * len(ids) if u is None  # no signal yet: an epoch run's first record
+                 else signal_norm(_views(u, self.law.shapes)).ravel().tolist())
         ts = [t] * len(ids) if np.isscalar(t) else t.tolist()
-        for run, *row in zip(ids.tolist(), ts, E.tolist(), errs.tolist(), norms):
-            self.logs[run].append(row)
+        for run, t_r, E_r, errs_r, norm in zip(ids.tolist(), ts, E.tolist(), errs.tolist(), norms):
+            log = self.logs[run]
+            log[0].append(t_r), log[1].append(E_r), log[2].extend(errs_r), log[3].append(norm)
 
 
 class _Noise:

@@ -6,6 +6,9 @@ benchmark.  Running those checks here makes such a change fail the tests
 first.  Both bench files are loaded by path and use only numpy and the
 standard library.  The artifacts' digests are pinned too, so a change of
 any byte fails here; a change that declares new bytes updates the pins.
+The pins hold for one numpy, BLAS and CPU (numpy 2.4.6 on x86-64): the
+4-8-1 products of mlp_compare may round otherwise in their last bits
+elsewhere, where the repeat check still holds and the pins are re-taken.
 """
 
 import hashlib

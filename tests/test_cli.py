@@ -10,8 +10,9 @@ import filecmp
 import numpy as np
 import pytest
 
-from lyapflow.cli import main
+from lyapflow.cli import _kept, main
 from lyapflow.config import parse_kv
+from lyapflow.dynamics import Trajectory
 
 # Single sigmoid neuron from zero weights: E0 = |0.5 - 0.48|^1.7 / 1.7,
 # settling bound T* ~ 8.9e-3 with unit gain.  Fast and settles cleanly.
@@ -619,6 +620,22 @@ def test_train_says_whether_the_run_kept_its_certificate(tmp_path, capsys, text,
     lines = (out / "summary.kv").read_text().splitlines()
     at = lines.index(next(ln for ln in lines if ln.startswith("settled_at = ")))
     assert lines[at + 1] == f"bound.kept = {kept}"
+
+
+@pytest.mark.parametrize("t_end, settled_at, kept", [
+    (1.0, 0.9, "true"),       # settled before T
+    (1.1, 1.1, "true"),       # settled at T plus one step
+    (1.2, 1.2, "false"),      # settled after T plus one step
+    (2.0, None, "false"),     # unsettled at T, stopped after it
+    (1.0, None, "false"),     # unsettled at T, stopped on it
+    (0.9, None, "unknown"),   # stopped unsettled before T
+])
+def test_kept_judges_a_run_against_its_certificate(t_end, settled_at, kept):
+    # the verdicts on hand-built runs, with T = 1 and dt = 0.1: the end-to-end
+    # cases above rest on Known defect 1, these do not
+    run = Trajectory(np.array([0.0, t_end]), np.array([1.0, 0.5]), np.zeros((2, 1)),
+                     np.zeros(2), settled_at, 1e-9, [])
+    assert _kept(1.0, run, 0.1) == kept
 
 
 def test_a_gamma_above_the_data_minimum_is_refused(tmp_path, capsys):
