@@ -7,7 +7,8 @@ Three laws live here:
   a constant rate, so the unit settles in finite time.
 * ``mlp_update`` -- the layered law: each weight moves against the signed
   fractional power of its own loss sensitivity, scaled by E**beta.
-* ``gradient_flow_update`` -- plain gradient flow, used for L1/L2 baselines.
+* ``gradient_flow_update`` -- plain gradient flow, used for L1/L2 baselines;
+  beside layered runs, a stack's baselines take ``mlp_update`` instead.
 
 Each law, and ``signal_norm``, also takes a stack of runs (a leading run
 axis) and rounds every run exactly as it would be rounded alone.
@@ -106,26 +107,25 @@ def single_neuron_update(x, e_bar: float, z: float, gains: GainSchedule,
     return [rate]
 
 
-def mlp_update(grad, E: float, gains: GainSchedule, loss: LyapunovLoss) -> ControlSignal:
+def mlp_update(grad, E, gains: GainSchedule, loss) -> ControlSignal:
     """Layered law: dW_l/dt = -k * sgnpow(dE/dW_l, alpha) * E**beta.
 
     `grad` is dE/dW per layer (``net.loss_gradient``), the input gradient
     flow takes as well; a list of one flat array of every layer's entries
     is one layer too.  Bias columns are updated like any other weight
     (their activation entry is the constant 1).  Valid for alpha + beta < 1.
-    E is one value per run for a stack of runs.  Each rate is a fresh array.
+    E is one value per run for a stack, whose `loss` may give each run its own
+    exponent ``alpha`` (``losses.Exponents``) and ``beta`` (a list); exponent 1
+    with beta None, scale 1, is gradient flow.  Each rate is a fresh array.
     """
     stacked = isinstance(E, np.ndarray) and E.ndim > 0
     values = E.tolist() if stacked else [E]
     if any(v < 0 for v in values):
         raise ValueError(f"E must be >= 0, got {E}")
-    if loss.alpha + loss.beta >= 1.0:
-        raise ValueError(
-            f"layered law needs alpha + beta < 1, got {loss.alpha} + {loss.beta}"
-        )
+    betas = loss.beta if isinstance(loss.beta, list) else [loss.layered().beta] * len(values)
     # libm's pow, one run at a time: numpy's vectorised power may round the
     # last bit differently, and the weights would drift from a lone run's
-    powers = [v ** loss.beta for v in values]
+    powers = [1.0 if b is None else v ** b for v, b in zip(values, betas)]
     scale = np.array(powers).reshape((-1,) + (1,) * (grad[0].ndim - 1)) if stacked else powers[0]
     return [-gains.scalar * sgnpow(g, loss.alpha) * scale for g in grad]
 

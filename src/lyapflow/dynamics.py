@@ -24,18 +24,16 @@ Past the forward pass and the back-propagation, a step costs one numpy
 call per operation whatever R and the depth are, and each run rounds
 exactly as it would alone.  The net and each run's loss decide the run's
 law (``select_law``).
-One law object serves a lone run and every stack.  It groups the runs into
-stretches that share a law and its loss (gradient-flow runs share only
-their law); the forward pass, the back-propagation and dE/dW run once for
-the stack, and only E, dE/de and the law's last step run per stretch, each
-stretch's signal then joined to the others'.  The law holds the buffers of
-the pass (``net.ForwardTrace``) and the flat dE/dW per active set, so a
-hidden layer's bias column is written once per buffer, not once per
-evaluation; E, the errors, the back-propagated sensitivities and the signal
-are fresh on every evaluation.  A lone run or a noise stack is one stretch
-and is never sliced.  Each run keeps its own records and leaves the active
-set as its Trajectory, or its error, once it ends: the stack is compacted,
-never masked.  ``integrate`` is the one-run case of ``integrate_batch``.
+One law object serves a lone run and every stack.  A stack's losses become
+per-run columns, so the forward pass, the back-propagation with its dE/de
+and each law run once per evaluation for the stack, a gradient-flow run
+taking the layered law's call as exponent 1 and scale 1; only E at a step's
+start, which is recorded, is evaluated by each loss.  The law holds the
+buffers of the pass (``net.ForwardTrace``), the flat dE/dW and the columns
+per active set; E, the errors, the sensitivities and the signal are fresh on
+every evaluation.  Each run keeps its own records and leaves the active set
+as its Trajectory, or its error, once it ends: the stack is compacted, never
+masked.  ``integrate`` is the one-run case of ``integrate_batch``.
 
 Each theory-mode step evaluates E once, at its start, for the settle test
 and the record.  The RK4 stages, like the per-sample epoch steps, compute
@@ -75,7 +73,7 @@ from .control import (
 )
 from .datasets import Dataset
 from .errors import DivergenceError, HorizonError, ModeError, ShapeError
-from .losses import LyapunovLoss
+from .losses import Exponents, LyapunovLoss, sgnpow
 from .net import (PREACT_CLAMP, Activation, ForwardTrace, Mlp, Sample, forward,
                   loss_gradient, sensitivities)
 
@@ -230,11 +228,11 @@ def select_law(mlp: Mlp, lyapunov: bool, law: str = "auto") -> str:
 class _Law:
     """(E, error, control signal) of a flat weight state, for one run or a stack.
 
-    Run r follows the law the net and losses[r] give (``select_law``).
-    Consecutive runs that share a law and its loss form a stretch (gradient
-    flow does not read its loss, so one call serves L1 and L2 runs), rebuilt
-    with the flat dE/dW buffer when compaction changes the active set.  One
-    stretch, a lone run or a noise stack, is never sliced."""
+    Run r follows the law the net and losses[r] give (``select_law``); a stack
+    whose runs differ in loss reads them as columns (``_Losses``), made with the
+    flat dE/dW buffer for each active set.  Its runs split into stretches only
+    between the single-neuron law and the others, a gradient-flow run taking
+    the layered law's call.  A lone stretch is never sliced."""
 
     def __init__(self, mlp: Mlp, losses, gains: GainSchedule):
         self.mlp, self.gains, self.stacked = mlp, gains, len(losses) > 1
@@ -244,14 +242,14 @@ class _Law:
 
     def _group(self, kinds: list, losses: list) -> None:
         self.kinds, self.losses = kinds, losses
-        spans = _spans(losses)
-        # one loss serves the stack as it is; several, stretch by stretch
-        self.loss = losses[0] if len(spans) == 1 else _Losses(spans)
-        keys = [(kind, None if kind == "baseline" else loss)
-                for kind, loss in zip(kinds, losses)]
-        laws = [(s, (kind, loss, lyapunov_rate_scale(loss.alpha)
-                     if kind == "single_neuron" else None))
-                for (kind, loss), s in _spans(keys)]
+        # one loss serves the stack as it is, with scalars; several, as columns
+        one = len(_spans(losses)) == 1
+        self.loss = losses[0] if one else _Losses(kinds, losses)
+        self.scale_E = self.loss.evaluate if one else self.loss.scale_E  # E**beta's E
+        # gradient-flow runs beside layered ones take the layered law's call
+        family = ["mlp" if kind == "baseline" and "mlp" in kinds else kind for kind in kinds]
+        rate_scale = lyapunov_rate_scale(losses[0].alpha) if one else self.loss.rate_scale
+        laws = [(s, (kind, rate_scale if one else rate_scale[s])) for kind, s in _spans(family)]
         self.whole = laws[0][1] if len(laws) == 1 else None
         self.backprop = any(kind != "single_neuron" for kind in kinds)
         # the buffers of every pass and dE/dW of this active set, and each
@@ -289,14 +287,14 @@ class _Law:
         """One stretch's control signal, a fresh array, from its errors,
         pre-activations and flat dE/dW; E is evaluated here only for the
         layered law, whose rate scales with E**beta."""
-        kind, loss, rate_scale = law
+        kind, rate_scale = law
         if kind == "single_neuron":  # a one-layer net, whose state is its layer
             return single_neuron_update(x, e[..., 0], z[..., 0], self.gains,
                                         rate_scale=rate_scale)[0]
         if kind == "mlp":
             if E is None:
-                E = loss.evaluate(e[..., None, :])
-            return mlp_update([grad], E, self.gains, loss)[0]
+                E = self.scale_E(e[..., None, :])
+            return mlp_update([grad], E, self.gains, self.loss)[0]
         return gradient_flow_update([grad], self.gains)[0]
 
     def rates(self, weights, x, y_star):
@@ -306,30 +304,33 @@ class _Law:
 
 def _spans(keys) -> list:
     """(key, slice) for each stretch of equal consecutive keys, in order."""
-    spans, start = [], 0
-    for i in range(1, len(keys) + 1):
-        if i == len(keys) or keys[i] != keys[start]:
-            spans.append((keys[start], slice(start, i)))
-            start = i
-    return spans
+    cuts = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
+    return [(keys[a], slice(a, b)) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
 class _Losses:
-    """Several losses used as one along a stack's run axis: each stretch of
-    runs that share a loss, its (loss, slice) span, is evaluated by it alone."""
+    """A stack's losses as per-run columns.  Each is the member alpha of E =
+    sum |e|^(alpha+1) / (alpha+1), L1 and L2 the members 0 and 1, so dE/de is
+    one sgnpow; ``alpha`` and ``beta`` are the layered law's, 1 and None for
+    gradient flow.  E is evaluated by each loss (pow at a column exponent of 2
+    rounds apart from L2's e*e), ``scale_E`` by the column alpha + 1."""
 
-    def __init__(self, spans):
-        self.spans = spans
+    def __init__(self, kinds, losses):
+        self.spans, self.powers = _spans(losses), Exponents([loss.alpha for loss in losses])
+        layered = [loss.layered() if kind == "mlp" else None for kind, loss in zip(kinds, losses)]
+        self.alpha = Exponents([1.0 if loss is None else loss.alpha for loss in layered])
+        self.beta = [None if loss is None else loss.beta for loss in layered]
+        self.p = self.alpha.column + 1.0
+        self.rate_scale = np.array([lyapunov_rate_scale(loss.alpha) for loss in losses])[:, None]
 
     def evaluate(self, e):
         return np.concatenate([loss.evaluate(e[s]) for loss, s in self.spans])
 
     def error_grad(self, e):
-        """dE/de, each stretch written into its slice of one fresh array."""
-        out = np.empty_like(e)
-        for loss, s in self.spans:
-            loss.error_grad(e[s], out=out[s])
-        return out
+        return sgnpow(e, self.powers)
+
+    def scale_E(self, e):
+        return np.add.reduce(np.abs(e) ** self.p[:, None, None], axis=(1, 2)) / self.p
 
 
 def _buffer(shapes, count: int, stacked: bool) -> tuple:

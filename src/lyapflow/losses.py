@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "sgnpow",
+    "Exponents",
     "LyapunovLoss",
     "L1Loss",
     "L2Loss",
@@ -24,19 +25,35 @@ __all__ = [
 ]
 
 
-def sgnpow(v, p, out=None):
+def sgnpow(v, p):
     """Signed power map sign(v) * |v|**p, elementwise.
 
     Non-Lipschitz at the origin for p < 1.  sgnpow(0, p) == 0 for every
     p >= 0, including p == 0 where the map reduces to plain sign().
-    Scalars in, scalar out; arrays in, array out: written into `out` if it
-    is given.
+    Scalars in, scalar out; arrays in, array out.  p may also be one exponent
+    per run of a stack (``Exponents``), row r of v then raised to the r-th.
     """
+    v = np.asarray(v, dtype=float)
+    if isinstance(p, Exponents):
+        mag = np.abs(v) ** p.column.reshape((-1,) + (1,) * (v.ndim - 1))
+        if p.half:
+            mag[p.half] = np.sqrt(np.abs(v[p.half]))
+        return np.sign(v) * mag
     if p < 0:
         raise ValueError(f"sgnpow exponent must be >= 0, got {p}")
-    v = np.asarray(v, dtype=float)
-    out = np.multiply(np.sign(v), np.abs(v) ** p, out=out)
+    out = np.sign(v) * np.abs(v) ** p
     return out if out.ndim else float(out)
+
+
+class Exponents:
+    """One sgnpow exponent per run of a stack, checked >= 0 once.  A run at
+    0.5 takes np.sqrt, as ``**`` does for a scalar 0.5: pow rounds apart."""
+
+    def __init__(self, values):
+        if min(values, default=0.0) < 0:
+            raise ValueError(f"sgnpow exponent must be >= 0, got {min(values)}")
+        self.column = np.array(values, float)
+        self.half = [r for r, p in enumerate(values) if p == 0.5]
 
 
 def _total(a):
@@ -92,12 +109,14 @@ class LyapunovLoss:
         """
         if beta is None:
             beta = min(alpha / (alpha + 1.0), 0.999 * (1.0 - alpha))
-        loss = cls(alpha, beta, **kw)
-        if loss.alpha + loss.beta >= 1.0 and not (loss.allow_unsafe_alpha and loss.alpha == 0.0):
+        return cls(alpha, beta, **kw).layered()
+
+    def layered(self) -> "LyapunovLoss":
+        """The loss, which the layered law takes only if alpha + beta < 1."""
+        if self.alpha + self.beta >= 1.0:
             raise ValueError(
-                f"multi-layer law needs alpha + beta < 1; got {loss.alpha} + {loss.beta}"
-            )
-        return loss
+                f"multi-layer law needs alpha + beta < 1; got {self.alpha} + {self.beta}")
+        return self
 
     def evaluate(self, e_bar):
         """E = sum |e|^(alpha+1) / (alpha+1) over an error array (outputs,) or
@@ -106,38 +125,38 @@ class LyapunovLoss:
         p = self.alpha + 1.0
         return _total(np.abs(e) ** p) / p
 
-    def error_grad(self, e_bar, out=None):
-        """dE/de = sgnpow(e, alpha), elementwise, into `out` if it is given."""
-        return sgnpow(e_bar, self.alpha, out=out)
+    def error_grad(self, e_bar):
+        """dE/de = sgnpow(e, alpha), elementwise."""
+        return sgnpow(e_bar, self.alpha)
 
 
 @dataclass(frozen=True)
 class L1Loss:
-    """Absolute-error baseline, E = sum |e_m|."""
+    """Absolute-error baseline, E = sum |e_m|: the Lyapunov form at alpha = 0."""
 
-    name = "l1"
+    name, alpha = "l1", 0.0
 
     def evaluate(self, e_bar):
         e = np.asarray(e_bar, dtype=float)
         return _total(np.abs(e))
 
-    def error_grad(self, e_bar, out=None):
-        g = np.sign(np.asarray(e_bar, dtype=float), out=out)
+    def error_grad(self, e_bar):
+        g = np.sign(np.asarray(e_bar, dtype=float))
         return g if g.ndim else float(g)
 
 
 @dataclass(frozen=True)
 class L2Loss:
-    """Half squared-error baseline, E = 0.5 * sum e_m^2."""
+    """Half squared-error baseline, E = 0.5 * sum e_m^2: the form at alpha = 1."""
 
-    name = "l2"
+    name, alpha = "l2", 1.0
 
     def evaluate(self, e_bar):
         e = np.asarray(e_bar, dtype=float)
         return 0.5 * _total(e * e)
 
-    def error_grad(self, e_bar, out=None):
-        g = np.positive(np.asarray(e_bar, dtype=float), out=out)
+    def error_grad(self, e_bar):
+        g = np.positive(np.asarray(e_bar, dtype=float))
         return g if g.ndim else float(g)
 
 

@@ -168,22 +168,37 @@ def test_traced_epoch_sweep_sees_every_law_evaluation(tmp_path):
     assert calls["dynamics.dataset_loss"] == (epochs + 1) + 1
 
 
-def test_traced_compare_stacks_its_rows(tmp_path):
-    calls = _traced_calls(tmp_path, "compare", (
-        "net.layers = 3, 4, 1\nnet.output_activation = identity\nnet.init = random\n"
-        "loss.alpha = 0.7\ngains.k = 1\ninteg.method = rk4\ninteg.dt = 1e-3\n"
-        "integ.t_max = 0.02\ninteg.record_stride = 1\nmode.x = 0.5, -0.2, 0.9\n"
-        "mode.y_star = -3\nrun.seed = 1\n"))
+LAYERED = ("net.output_activation = identity\nnet.init = random\ngains.k = 1\n"
+           "integ.method = rk4\ninteg.dt = 1e-3\ninteg.t_max = 0.02\ninteg.record_stride = 1\n"
+           "mode.y_star = -3\nrun.seed = 1\n")
+
+
+@pytest.mark.parametrize("command,config,law", [
+    pytest.param("compare", "net.layers = 3, 4, 1\nloss.alpha = 0.7\nmode.x = 0.5, -0.2, 0.9\n"
+                 + LAYERED, "control.mlp_update", id="compare"),
+    pytest.param("alpha-sweep", "net.layers = 4, 1\nnet.init = zeros\ngains.k = 1\n"
+                 "integ.method = rk4\ninteg.dt = 1e-4\ninteg.t_max = 0.002\n"
+                 "integ.record_stride = 1\nmode.x = 1, -0.6, 0.8, 0.4\nmode.y_star = 0.48\n"
+                 "sweep.alphas = 0.3, 0.5, 0.7\n", "control.single_neuron_update",
+                 id="single-neuron-alpha-sweep"),
+    pytest.param("alpha-sweep", "net.layers = 4, 8, 1\nmode.x = 0.5, -0.3, 0.8, 0.1\n"
+                 "sweep.alphas = 0.3, 0.5, 0.7\n" + LAYERED, "control.mlp_update",
+                 id="layered-alpha-sweep"),
+])
+def test_traced_compare_stacks_its_rows(tmp_path, command, config, law):
+    calls = _traced_calls(tmp_path, command, config)
     rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-    steps = len(rows) - 2  # the Lyapunov row; no row settles this early
+    steps = len(rows) - 2  # the last row's; no row settles this early
     evaluations = 4 * steps + 1
-    # the Lyapunov, L1 and L2 rows share one forward pass and one
-    # back-propagation per evaluation, beside the resolver's E0
+    # every row shares one forward pass, one back-propagation (none for the
+    # single-neuron law) and one law call per evaluation, beside the
+    # resolver's E0; a compare's L1 and L2 rows take the layered law's call
+    # as exponent 1 and scale 1
     assert calls["net.forward"] == evaluations + 1
-    assert calls["net.sensitivities"] == evaluations
-    assert calls["control.mlp_update"] == evaluations
-    # one gradient-flow call serves the L1 and L2 rows together
-    assert calls["control.gradient_flow_update"] == evaluations
+    backprop = law == "control.mlp_update"
+    assert calls["net.sensitivities"] == (evaluations if backprop else 0)
+    assert calls[law] == evaluations
+    assert calls["control.gradient_flow_update"] == 0
 
 
 class _CountingRng:

@@ -4,6 +4,8 @@ import pytest
 from lyapflow import (
     Activation,
     GainSchedule,
+    L1Loss,
+    L2Loss,
     LyapunovLoss,
     Mlp,
     forward,
@@ -15,6 +17,7 @@ from lyapflow import (
     signal_norm,
     single_neuron_update,
 )
+from lyapflow.dynamics import _Losses
 
 
 def _sigma_prime(z):
@@ -156,6 +159,8 @@ def test_mlp_update_validation():
     bad = LyapunovLoss(alpha=0.7)  # beta defaults to 7/17, alpha+beta > 1
     with pytest.raises(ValueError):
         mlp_update(grads, 1.0, GainSchedule.uniform(1.0), bad)
+    with pytest.raises(ValueError):  # a stack's columns are checked when made
+        _Losses(["mlp", "baseline", "mlp"], [loss, L1Loss(), bad])
 
 
 def test_gain_homogeneity_is_exact():
@@ -245,4 +250,24 @@ def test_stacked_laws_are_bitwise_each_run_alone():
         for a, b in zip(layered, mlp_update(g_r, E_r, gains, loss)):
             assert a[r].tobytes() == b.tobytes()
         for a, b in zip(flow, gradient_flow_update(g_r, gains)):
+            assert a[r].tobytes() == b.tobytes()
+
+    # one column-driven call: Lyapunov 0.7 and 0.5 runs on the layered law,
+    # L1 and L2 runs on gradient flow; each row is its run's own call
+    losses = [LyapunovLoss.multilayer(0.7), LyapunovLoss.multilayer(0.5), L1Loss(), L2Loss()]
+    columns = _Losses(["mlp", "mlp", "baseline", "baseline"], losses)
+    errs = trace.y - y_star
+    alone = [forward(net, xs[r]) for r, net in enumerate(nets)]
+    Es = [loss.evaluate(errs[r]) for r, loss in enumerate(losses)]
+    g = [loss_gradient(sensitivities(net, alone[r], y_star[r], losses[r]), alone[r])
+         for r, net in enumerate(nets)]
+    stacked = mlp_update([np.stack(layer) for layer in zip(*g)], np.array(Es), gains, columns)
+    E_layered = columns.scale_E(errs[:, None, :])
+    for r, loss in enumerate(losses):
+        if isinstance(loss, LyapunovLoss):
+            assert E_layered[r] == Es[r]
+            want = mlp_update(g[r], Es[r], gains, loss)
+        else:
+            want = gradient_flow_update(g[r], gains)
+        for a, b in zip(stacked, want):
             assert a[r].tobytes() == b.tobytes()

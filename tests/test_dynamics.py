@@ -594,6 +594,13 @@ def _per_layer_run(mlp, x, y_star, loss, gains, integ, stop) -> dict:
     pytest.param((4, 8, 1), 3, Activation.IDENTITY,
                  [LyapunovLoss.multilayer(ALPHA), LyapunovLoss.multilayer(0.4)], 0.05, 1,
                  id="two-alphas"),
+    # an alpha = 0.5 row rounds as alone, where ** takes np.sqrt, only by its sqrt rows
+    pytest.param((4, 8, 1), 3, Activation.IDENTITY,
+                 [LyapunovLoss.multilayer(ALPHA), LyapunovLoss.multilayer(0.5)], 0.05, 1,
+                 id="alphas-0.7-0.5"),
+    pytest.param((4, 8, 1), 3, Activation.IDENTITY,
+                 [LyapunovLoss.multilayer(0.5), L1Loss(), L2Loss()], 0.05, 0,
+                 id="compare-0.5"),
 ])
 def test_the_flat_state_steps_like_a_per_layer_loop(sizes, seed, out_act, losses, offset,
                                                       first, method):

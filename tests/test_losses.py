@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lyapflow import L1Loss, L2Loss, LyapunovLoss, sgnpow
+from lyapflow.losses import Exponents
 
 
 def _slow_sgnpow(v, p):
@@ -45,6 +46,22 @@ def test_sgnpow_arrays_and_scalars():
 def test_sgnpow_rejects_negative_exponent():
     with pytest.raises(ValueError):
         sgnpow(1.0, -0.1)
+    with pytest.raises(ValueError):
+        Exponents([0.5, -0.1])
+
+
+@pytest.mark.parametrize("shape", [(7,), (3, 5), (40,)])
+def test_sgnpow_of_a_column_rounds_each_row_alone(shape):
+    # 0.5 takes np.sqrt alone; 0 and 1 are L1's sign and L2's identity
+    rng = np.random.default_rng(len(shape))
+    powers = [0.7, 0.5, 0.0, 1.0, 0.35, 0.5]
+    v = rng.normal(0.0, 2.0, (len(powers),) + shape)
+    v[2, 0] = 0.0
+    stacked = sgnpow(v, Exponents(powers))
+    for r, p in enumerate(powers):
+        assert stacked[r].tobytes() == sgnpow(v[r], p).tobytes()
+    for r, loss in ((2, L1Loss()), (3, L2Loss())):
+        assert stacked[r].tobytes() == loss.error_grad(v[r]).tobytes()
 
 
 def test_lyapunov_evaluate_matches_direct_sum():
