@@ -24,7 +24,7 @@ x = np.array([1.0, -0.6, 0.8, 0.4])
 y_star = np.array([0.48])
 loss = LyapunovLoss.single_neuron(0.7)
 E0 = abs(0.5 - 0.48) ** 1.7 / 1.7
-gamma = GammaEstimate(1.0, source="user")
+gamma = GammaEstimate(1.0)
 
 rows = []
 for k in (1.0, 5.0, 10.0):

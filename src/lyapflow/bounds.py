@@ -51,10 +51,9 @@ FLAVORS = ("single_neuron", "perturbed")
 
 @dataclass(frozen=True)
 class GammaEstimate:
-    """Excitation level gamma plus where it came from."""
+    """Excitation level gamma: some input entry of every sample exceeds it."""
 
     gamma: float
-    source: str = "user"
 
     def __post_init__(self):
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
@@ -77,7 +76,7 @@ def estimate_gamma(inputs) -> GammaEstimate:
         raise AssumptionError(
             f"sample {bad} is all zeros; excitation assumption fails without a bias unit"
         )
-    return GammaEstimate(worst, source="data_min")
+    return GammaEstimate(worst)
 
 
 @dataclass(frozen=True)

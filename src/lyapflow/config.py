@@ -209,6 +209,8 @@ def _cross_checks(cfg: dict, source: str, given) -> list:
             probs.append(f"{source}: data.source=csv needs data.features and data.targets")
     if perturb_mode is not None and cfg["perturb.M"] is None:
         probs.append(f"{source}: perturb.mode needs perturb.M")
+    if perturb_mode is None and cfg["perturb.M"] is not None:
+        probs.append(f"{source}: perturb.M needs perturb.mode")
     if any(not 0.0 <= a < 1.0 for a in cfg["sweep.alphas"]):
         probs.append(f"{source}: sweep.alphas entries must be finite and lie in [0, 1)")
     # a vanishing envelope's exponent is loss.alpha, whatever the loss;

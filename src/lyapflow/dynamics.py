@@ -24,11 +24,11 @@ Past the forward pass and the back-propagation, a step costs one numpy
 call per operation whatever R and the depth are, and each run rounds
 exactly as it would alone.  The net and each run's loss decide the run's
 law (``select_law``).
-One law object serves a lone run and every stack.  A stack's losses become
-per-run columns, so the forward pass, the back-propagation with its dE/de
-and each law run once per evaluation for the stack, a gradient-flow run
-taking the layered law's call as exponent 1 and scale 1; only E at a step's
-start, which is recorded, is evaluated by each loss.  The law holds the
+One law object serves a lone run and every stack.  A stack's losses are
+per-run columns, as its weights are rows, so the forward pass, E, the
+back-propagation with its dE/de and each law run once per evaluation for
+the stack, a gradient-flow run taking the layered law's call as exponent 1
+and scale 1; a lone run reads its loss as scalars.  The law holds the
 buffers of the pass (``net.ForwardTrace``), the flat dE/dW and the columns
 per active set; E, the errors, the sensitivities and the signal are fresh on
 every evaluation.  Each run keeps its own records and leaves the active set
@@ -73,7 +73,7 @@ from .control import (
 )
 from .datasets import Dataset
 from .errors import DivergenceError, HorizonError, ModeError, ShapeError
-from .losses import Exponents, LyapunovLoss, sgnpow
+from .losses import Exponents, LyapunovLoss, _spans, sgnpow
 from .net import (PREACT_CLAMP, Activation, ForwardTrace, Mlp, Sample, forward,
                   loss_gradient, sensitivities)
 
@@ -229,10 +229,11 @@ class _Law:
     """(E, error, control signal) of a flat weight state, for one run or a stack.
 
     Run r follows the law the net and losses[r] give (``select_law``); a stack
-    whose runs differ in loss reads them as columns (``_Losses``), made with the
-    flat dE/dW buffer for each active set.  Its runs split into stretches only
-    between the single-neuron law and the others, a gradient-flow run taking
-    the layered law's call.  A lone stretch is never sliced."""
+    reads its losses as columns (``_Losses``), made with the flat dE/dW buffer
+    for each active set, and a lone run its loss as scalars.  A stack's runs
+    split into stretches only between the single-neuron law and the others, a
+    gradient-flow run taking the layered law's call.  A lone stretch is never
+    sliced."""
 
     def __init__(self, mlp: Mlp, losses, gains: GainSchedule):
         self.mlp, self.gains, self.stacked = mlp, gains, len(losses) > 1
@@ -242,14 +243,12 @@ class _Law:
 
     def _group(self, kinds: list, losses: list) -> None:
         self.kinds, self.losses = kinds, losses
-        # one loss serves the stack as it is, with scalars; several, as columns
-        one = len(_spans(losses)) == 1
-        self.loss = losses[0] if one else _Losses(kinds, losses)
-        self.scale_E = self.loss.evaluate if one else self.loss.scale_E  # E**beta's E
+        self.loss = _Losses(kinds, losses) if self.stacked else losses[0]
+        self.layered = "mlp" in kinds  # its rows scale by E**beta
         # gradient-flow runs beside layered ones take the layered law's call
-        family = ["mlp" if kind == "baseline" and "mlp" in kinds else kind for kind in kinds]
-        rate_scale = lyapunov_rate_scale(losses[0].alpha) if one else self.loss.rate_scale
-        laws = [(s, (kind, rate_scale if one else rate_scale[s])) for kind, s in _spans(family)]
+        family = ["mlp" if kind == "baseline" and self.layered else kind for kind in kinds]
+        laws = [(s, (kind, self.loss.rate_scale[s] if self.stacked
+                     else lyapunov_rate_scale(losses[0].alpha))) for kind, s in _spans(family)]
         self.whole = laws[0][1] if len(laws) == 1 else None
         self.backprop = any(kind != "single_neuron" for kind in kinds)
         # the buffers of every pass and dE/dW of this active set, and each
@@ -267,33 +266,31 @@ class _Law:
         """At the layer views `weights` of a flat state, the signal shaped like
         it.  x is a Sample (a plain array is checked again on every call);
         y_star has been checked against the net's outputs.  E, the errors
-        and the signal, each stretch's joined in run order, are fresh
-        arrays; the pass and dE/dW live in the held buffers and are
-        overwritten by the next evaluation."""
+        and the signal, its stretches joined in run order, are fresh arrays;
+        the pass and dE/dW live in the held buffers and are overwritten by
+        the next evaluation."""
         self.mlp.weights = weights
         trace = forward(self.mlp, x, self.trace)
         e = trace.y - y_star
-        E = self.loss.evaluate(e[..., None, :]) if with_E else None  # one E per run
+        # one E per run, when the step records it or the layered law scales by it
+        E = self.loss.evaluate(e[..., None, :]) if with_E or self.layered else None
         if self.backprop:
             loss_gradient(sensitivities(self.mlp, trace, y_star, self.loss, e), trace,
                           out=self.grad_layers)
         if self.whole:  # one stretch: nothing to slice
             return E, e, self._signal(self.whole, x, e, trace.preacts[0], self.grad, E)
-        return E, e, np.concatenate([
-            self._signal(law, x, e[s], z, grad, None if E is None else E[s])
-            for s, law, z, grad in self.groups])
+        # a layered stack is one stretch: its net takes no single-neuron run
+        return E, e, np.concatenate([self._signal(law, x, e[s], z, grad, None)
+                                     for s, law, z, grad in self.groups])
 
     def _signal(self, law, x, e, z, grad, E):
         """One stretch's control signal, a fresh array, from its errors,
-        pre-activations and flat dE/dW; E is evaluated here only for the
-        layered law, whose rate scales with E**beta."""
+        pre-activations, flat dE/dW and E."""
         kind, rate_scale = law
         if kind == "single_neuron":  # a one-layer net, whose state is its layer
             return single_neuron_update(x, e[..., 0], z[..., 0], self.gains,
                                         rate_scale=rate_scale)[0]
         if kind == "mlp":
-            if E is None:
-                E = self.scale_E(e[..., None, :])
             return mlp_update([grad], E, self.gains, self.loss)[0]
         return gradient_flow_update([grad], self.gains)[0]
 
@@ -302,35 +299,27 @@ class _Law:
         return self.eval(weights, x, y_star, with_E=False)[2]
 
 
-def _spans(keys) -> list:
-    """(key, slice) for each stretch of equal consecutive keys, in order."""
-    cuts = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
-    return [(keys[a], slice(a, b)) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
 class _Losses:
     """A stack's losses as per-run columns.  Each is the member alpha of E =
-    sum |e|^(alpha+1) / (alpha+1), L1 and L2 the members 0 and 1, so dE/de is
-    one sgnpow; ``alpha`` and ``beta`` are the layered law's, 1 and None for
-    gradient flow.  E is evaluated by each loss (pow at a column exponent of 2
-    rounds apart from L2's e*e), ``scale_E`` by the column alpha + 1."""
+    sum |e|^(alpha+1) / (alpha+1), L1 and L2 the members 0 and 1, so E is one
+    power of |e| and dE/de one sgnpow, each row rounded as its loss rounds
+    alone (``Exponents``); ``alpha`` and ``beta`` are the layered law's, 1
+    and None for gradient flow."""
 
     def __init__(self, kinds, losses):
-        self.spans, self.powers = _spans(losses), Exponents([loss.alpha for loss in losses])
+        self.powers = Exponents([loss.alpha for loss in losses])
+        self.p = Exponents([loss.alpha + 1.0 for loss in losses])
         layered = [loss.layered() if kind == "mlp" else None for kind, loss in zip(kinds, losses)]
         self.alpha = Exponents([1.0 if loss is None else loss.alpha for loss in layered])
         self.beta = [None if loss is None else loss.beta for loss in layered]
-        self.p = self.alpha.column + 1.0
         self.rate_scale = np.array([lyapunov_rate_scale(loss.alpha) for loss in losses])[:, None]
 
     def evaluate(self, e):
-        return np.concatenate([loss.evaluate(e[s]) for loss, s in self.spans])
+        """One E per run of errors (runs, samples, outputs)."""
+        return np.add.reduce(self.p.power(e), axis=(1, 2)) / self.p.column
 
     def error_grad(self, e):
         return sgnpow(e, self.powers)
-
-    def scale_E(self, e):
-        return np.add.reduce(np.abs(e) ** self.p[:, None, None], axis=(1, 2)) / self.p
 
 
 def _buffer(shapes, count: int, stacked: bool) -> tuple:
@@ -381,7 +370,7 @@ class _Runs:
     training about 20% slower and a 4-8-1 compare about 10% slower."""
 
     def __init__(self, weights, count: int, x, law: _Law, epsilon: float):
-        self.ids, self.stacked, self.law, self.epsilon = np.arange(count), count > 1, law, epsilon
+        self.ids, self.stacked, self.law, self.epsilon = np.arange(count), law.stacked, law, epsilon
         W, layers = _buffer(law.shapes, count, self.stacked)
         for layer, w in zip(layers, weights):
             layer[...] = w  # every run starts from the net's weights

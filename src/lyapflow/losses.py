@@ -35,25 +35,38 @@ def sgnpow(v, p):
     """
     v = np.asarray(v, dtype=float)
     if isinstance(p, Exponents):
-        mag = np.abs(v) ** p.column.reshape((-1,) + (1,) * (v.ndim - 1))
-        if p.half:
-            mag[p.half] = np.sqrt(np.abs(v[p.half]))
-        return np.sign(v) * mag
+        return np.sign(v) * p.power(v)
     if p < 0:
         raise ValueError(f"sgnpow exponent must be >= 0, got {p}")
     out = np.sign(v) * np.abs(v) ** p
     return out if out.ndim else float(out)
 
 
+def _spans(keys) -> list:
+    """(key, slice) for each stretch of equal consecutive keys, in order."""
+    cuts = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
+    return [(keys[a], slice(a, b)) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
 class Exponents:
-    """One sgnpow exponent per run of a stack, checked >= 0 once.  A run at
-    0.5 takes np.sqrt, as ``**`` does for a scalar 0.5: pow rounds apart."""
+    """One exponent per run of a stack, checked >= 0 once.  ``power`` rounds
+    each run as ``**`` does for its scalar exponent, which numpy takes to
+    np.sqrt at 0.5 and np.square at 2: pow rounds apart from both."""
 
     def __init__(self, values):
         if min(values, default=0.0) < 0:
             raise ValueError(f"sgnpow exponent must be >= 0, got {min(values)}")
         self.column = np.array(values, float)
-        self.half = [r for r, p in enumerate(values) if p == 0.5]
+        fast = {0.5: np.sqrt, 2.0: np.square}
+        self.fast = [(rows, fast[p]) for p, rows in _spans(values) if p in fast]
+
+    def power(self, v):
+        """|v| ** p, row r of v raised to the r-th exponent: a fresh array."""
+        a = np.abs(v)
+        out = a ** self.column.reshape((-1,) + (1,) * (a.ndim - 1))
+        for rows, f in self.fast:  # a stretch of runs at 0.5 or at 2
+            f(a[rows], out=out[rows])
+        return out
 
 
 def _total(a):

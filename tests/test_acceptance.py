@@ -143,7 +143,7 @@ def test_02_settling_window():
 def test_03_bound_gain_scaling():
     start = time.perf_counter()
     loss = LyapunovLoss.single_neuron(ALPHA)
-    gamma = GammaEstimate(1.0, source="user")
+    gamma = GammaEstimate(1.0)
     # pattern values 20224.176 / 4044.835 / 2022.418; pick E0 to land on them
     t5_target = 4044.83522
     e0 = (t5_target * 5.0 * (1.0 - BETA)) ** (1.0 / (1.0 - BETA))
@@ -229,7 +229,7 @@ def test_06_noise_robustness():
     refused = bound_big is None and traj_big.n_records() > 0
     try:
         settling_bound(bound.E0, GainSchedule.uniform(1.0),
-                       GammaEstimate(5e4, source="user"),
+                       GammaEstimate(5e4),
                        LyapunovLoss.single_neuron(ALPHA), flavor="perturbed",
                        M=1.0)
         raised = False

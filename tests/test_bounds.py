@@ -161,7 +161,6 @@ def test_estimate_gamma_data_min():
     x = np.array([[1.0, -3.0], [0.5, 0.2], [2.0, -2.0]])
     g = estimate_gamma(x)
     assert g.gamma == 0.5          # weakest sample's strongest entry
-    assert g.source == "data_min"
 
 
 def test_estimate_gamma_zero_sample_raises():

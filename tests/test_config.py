@@ -125,6 +125,8 @@ def test_epoch_and_csv_cross_checks():
 def test_perturb_and_positivity_cross_checks():
     with pytest.raises(ConfigError, match="needs perturb.M"):
         config_from_text("mode.x = 1\nmode.y_star = 0.5\nperturb.mode = vanishing\n")
+    with pytest.raises(ConfigError, match="perturb.M needs perturb.mode"):
+        config_from_text("mode.x = 1\nmode.y_star = 0.5\nperturb.M = 0.5\n")
     with pytest.raises(ConfigError, match="integ.dt"):
         config_from_text("mode.x = 1\nmode.y_star = 0.5\ninteg.dt = -1\n")
     with pytest.raises(ConfigError, match="gains.k"):

@@ -262,10 +262,10 @@ def test_stacked_laws_are_bitwise_each_run_alone():
     g = [loss_gradient(sensitivities(net, alone[r], y_star[r], losses[r]), alone[r])
          for r, net in enumerate(nets)]
     stacked = mlp_update([np.stack(layer) for layer in zip(*g)], np.array(Es), gains, columns)
-    E_layered = columns.scale_E(errs[:, None, :])
+    E_columns = columns.evaluate(errs[:, None, :])
     for r, loss in enumerate(losses):
+        assert E_columns[r] == Es[r]
         if isinstance(loss, LyapunovLoss):
-            assert E_layered[r] == Es[r]
             want = mlp_update(g[r], Es[r], gains, loss)
         else:
             want = gradient_flow_update(g[r], gains)

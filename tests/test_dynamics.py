@@ -39,7 +39,7 @@ from lyapflow import dynamics
 from lyapflow.bounds import certify
 from lyapflow.control import single_neuron_update
 from lyapflow.datasets import Dataset
-from lyapflow.dynamics import _buffer, _Law, integrate_batch
+from lyapflow.dynamics import _buffer, _Law, _Losses, integrate_batch, select_law
 
 ALPHA = 0.7
 BETA = ALPHA / (ALPHA + 1.0)
@@ -364,11 +364,17 @@ def test_stacked_dataset_loss_is_bitwise_each_run_alone(sizes):
         nets = [Mlp.random(sizes, seed=s, scale=2.0) for s in range(6)]
         stack = nets[0].copy()
         stack.weights = [np.stack(ws) for ws in zip(*(n.weights for n in nets))]
-        for loss in (LyapunovLoss(alpha=0.6), L2Loss(), L1Loss()):
+        # one loss for every run, or a stack's columns: one loss per run, an
+        # alpha = 0.5 row and L2's where ** takes np.sqrt and np.square
+        mixed = [LyapunovLoss(alpha=0.6), L2Loss(), L1Loss(), LyapunovLoss(alpha=0.5),
+                 L2Loss(), LyapunovLoss(alpha=0.3)]
+        columns = _Losses([select_law(stack, isinstance(loss, LyapunovLoss)) for loss in mixed],
+                          mixed)
+        for loss in (LyapunovLoss(alpha=0.6), L2Loss(), L1Loss(), columns):
             total, mean_abs = dataset_loss(stack, data, loss)
             assert total.shape == (6,) and mean_abs.shape == (6, sizes[-1])
             for r, net in enumerate(nets):
-                E_r, mean_r = dataset_loss(net, data, loss)
+                E_r, mean_r = dataset_loss(net, data, mixed[r] if loss is columns else loss)
                 assert total[r] == E_r
                 assert mean_abs[r].tobytes() == mean_r.tobytes()
 
@@ -424,6 +430,13 @@ def test_law_selection_errors():
                       StoppingRule(), law=law)
     with pytest.raises(ValueError, match="one or more losses"):
         dynamics.integrate_batch(deep, mode, [], GainSchedule.uniform(1.0), integ, StoppingRule())
+    # the layered law refuses alpha + beta >= 1, a lone run's or a noise stack's
+    for levels in (None, [0.0, 0.3]):
+        noises = None if levels is None else [PerturbationSpec("vanishing", M, 0.7)
+                                              for M in levels]
+        with pytest.raises(ValueError, match=r"needs alpha \+ beta < 1; got 0.7 \+ 0.41176"):
+            dynamics.integrate_batch(deep, mode, LyapunovLoss(0.7), GainSchedule.uniform(1.0),
+                                     integ, StoppingRule(), noises)
     with pytest.raises(ModeError):
         integrate(single, "not a mode", L2Loss(), GainSchedule.uniform(1.0),
                   integ, StoppingRule())

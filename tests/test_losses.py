@@ -64,6 +64,18 @@ def test_sgnpow_of_a_column_rounds_each_row_alone(shape):
         assert stacked[r].tobytes() == loss.error_grad(v[r]).tobytes()
 
 
+def test_exponents_power_rounds_each_row_as_its_scalar_power():
+    # ** takes np.square at 2 and np.sqrt at 0.5; pow at a column exponent
+    # rounds apart from both on some of these draws
+    rng = np.random.default_rng(0)
+    powers = [2.0, 0.5, 1.7, 1.0, 0.0, 2.0]
+    v = rng.normal(0.0, 1.0, (len(powers), 1000))
+    got = Exponents(powers).power(v)
+    for r, p in enumerate(powers):
+        assert got[r].tobytes() == (np.abs(v[r]) ** p).tobytes()
+    assert got[0].tobytes() == (v[0] * v[0]).tobytes()  # L2's E reads e*e
+
+
 def test_lyapunov_evaluate_matches_direct_sum():
     loss = LyapunovLoss(alpha=0.7)
     rng = np.random.default_rng(3)
